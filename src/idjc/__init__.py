@@ -18,6 +18,7 @@ from .dynamics import (
     ATOM_GROUND,
     INTENSITY_DEPENDENT,
     ORDINARY,
+    BranchSweep,
     EvolutionParams,
     JointBlocks,
     atomic_inversion,
@@ -26,6 +27,7 @@ from .dynamics import (
     joint_state_blocks,
     kraus_diag,
     kraus_shift,
+    sweep_branches,
 )
 from .errors import (
     ConfigError,
@@ -59,6 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ATOM_EXCITED",
     "ATOM_GROUND",
+    "BranchSweep",
     "CatSpec",
     "ConfigError",
     "DensityMatrix",
@@ -99,4 +102,5 @@ __all__ = [
     "q_grid",
     "q_mixture_closed",
     "revival_time",
+    "sweep_branches",
 ]

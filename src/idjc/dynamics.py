@@ -14,18 +14,27 @@ statistics do not depend on them, and phase-space pictures then stay put
 instead of rigidly rotating at the cavity frequency.  The cavity frequency
 therefore appears nowhere in this module.
 
-Time sweeps are embarrassingly parallel: all functions are pure and inputs
-immutable, so different tau values may be evaluated concurrently.
+Two paths evaluate the map.  The per-call functions (evolve_field,
+excited_population, atomic_inversion, joint_state_blocks) take one tau and
+a general, possibly full-rank density matrix, and build the evolved matrix
+densely.  sweep_branches covers a whole tau grid for an ensemble of pure
+states with the atom excited: each component v evolves into exactly two
+field branches, stay cos(phi_n) v_n and flip -i sin(phi_(n-1)) v_(n-1), so
+purity, excited population and fidelities are sums of branch overlaps.
+Every overlap is a real (taus x dim) trigonometric block times a fixed
+complex dim-vector, evaluated over fixed-size tau blocks; no evolved matrix
+is ever built, and the temporaries do not grow with the number of taus.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimMismatch, TailLeak
-from .fock import DensityMatrix
+from .fock import DensityMatrix, mixture_weights
 
 INTENSITY_DEPENDENT = "intensity_dependent"
 ORDINARY = "ordinary"
@@ -36,6 +45,10 @@ ATOM_GROUND = "ground"
 #: photon-adding branch shifts population up one level per application, so
 #: anything sitting there would leak out of the truncated basis.
 DEFAULT_TAIL_LEAK_TOL = 1e-10
+
+#: Taus per block in sweep_branches; bounds its temporaries to a few
+#: (block x dim) real arrays whatever the length of the tau grid.
+SWEEP_TAU_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -57,8 +70,8 @@ class EvolutionParams:
     def __post_init__(self):
         if not self.lam > 0.0:
             raise ValueError(f"coupling constant must be positive, got {self.lam!r}")
-        if self.tau < 0.0:
-            raise ValueError(f"tau must be >= 0, got {self.tau!r}")
+        if not (self.tau >= 0.0 and math.isfinite(self.tau)):
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau!r}")
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim!r}")
         if self.coupling not in (INTENSITY_DEPENDENT, ORDINARY):
@@ -72,18 +85,21 @@ class EvolutionParams:
         return self.tau / self.lam
 
 
-def _pair_phases(params: EvolutionParams) -> np.ndarray:
-    """Accumulated Rabi phase of the pair containing Fock level n.
+def _pair_frequencies(dim: int, coupling: str, atom: str) -> np.ndarray:
+    """Rabi frequency, in units of lam, of the pair containing Fock level n.
 
-    Excited atom: level n pairs upward, phase tau*(n+1) in the
-    intensity-dependent mode or tau*sqrt(n+1) in the ordinary one.
+    Excited atom: level n pairs upward, frequency n+1 in the
+    intensity-dependent mode or sqrt(n+1) in the ordinary one.
     Ground atom: level n pairs downward, n in place of n+1.
     """
-    offset = 1.0 if params.atom == ATOM_EXCITED else 0.0
-    n = np.arange(params.dim, dtype=float) + offset
-    if params.coupling == INTENSITY_DEPENDENT:
-        return params.tau * n
-    return params.tau * np.sqrt(n)
+    offset = 1.0 if atom == ATOM_EXCITED else 0.0
+    n = np.arange(dim, dtype=float) + offset
+    return n if coupling == INTENSITY_DEPENDENT else np.sqrt(n)
+
+
+def _pair_phases(params: EvolutionParams) -> np.ndarray:
+    """Accumulated Rabi phase tau * frequency of the pair containing level n."""
+    return params.tau * _pair_frequencies(params.dim, params.coupling, params.atom)
 
 
 def kraus_diag(params: EvolutionParams) -> np.ndarray:
@@ -121,16 +137,21 @@ def _flip_branch(el: np.ndarray, shift_amp: np.ndarray, direction: int) -> np.nd
     return out
 
 
+def _check_tail(top: float, tail_tol: float) -> None:
+    """Reject an excited-atom input with population top in its top two levels."""
+    if not top < tail_tol:
+        raise TailLeak(
+            f"population {top:.3e} in the top two Fock levels exceeds "
+            f"{tail_tol:.1e}; increase dim"
+        )
+
+
 def _check_inputs(rho0: DensityMatrix, params: EvolutionParams, tail_tol: float) -> None:
     if rho0.dim != params.dim:
         raise DimMismatch(f"rho dim {rho0.dim} != params dim {params.dim}")
     if params.atom == ATOM_EXCITED:
-        top = float(np.real(rho0.elements[-1, -1] + rho0.elements[-2, -2]))
-        if not top < tail_tol:
-            raise TailLeak(
-                f"population {top:.3e} in the top two Fock levels exceeds "
-                f"{tail_tol:.1e}; increase dim"
-            )
+        _check_tail(float(np.real(rho0.elements[-1, -1] + rho0.elements[-2, -2])),
+                    tail_tol)
 
 
 def evolve_field(rho0: DensityMatrix, params: EvolutionParams,
@@ -213,3 +234,100 @@ def joint_state_blocks(rho0: DensityMatrix, params: EvolutionParams,
     eg = np.zeros_like(el)
     eg[:-1, :] = (flip[1:, None] * el[1:, :]) * stay[None, :]
     return JointBlocks(ee=ee, eg=eg, ge=eg.conj().T, gg=diag_block)
+
+
+@dataclass(frozen=True)
+class BranchSweep:
+    """Observables of an evolved pure-state ensemble, one entry per tau.
+
+    fidelities has one row per target state, in the order given.
+    """
+
+    purity_defect: np.ndarray
+    excited_population: np.ndarray
+    fidelities: np.ndarray
+
+
+def _pair_products(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """conj(x[n]) y[n] and conj(x[n+1]) y[n] for x in left and y in right.
+
+    Row i*len(right) + j of each product belongs to (left[i], right[j]); the
+    shifted product is zero at n = dim-1.  Both come back split into real
+    and imaginary columns (see _abs2).
+    """
+    dim = right.shape[1]
+    same = (left.conj()[:, None, :] * right[None, :, :]).reshape(-1, dim)
+    up = np.zeros_like(same)
+    up[:, :-1] = (left.conj()[:, None, 1:] * right[None, :, :-1]).reshape(-1, dim - 1)
+    return tuple(np.concatenate([z.real, z.imag]).T for z in (same, up))
+
+
+def _abs2(trig: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """|trig @ z|^2 for a real trig block and complex columns z split as [real | imag]."""
+    out = trig @ split
+    half = split.shape[1] // 2
+    return out[:, :half] ** 2 + out[:, half:] ** 2
+
+
+def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT, targets=(),
+                   lam: float = 1.0) -> BranchSweep:
+    """Purity defect, excited population and target fidelities over a tau grid.
+
+    components: (weight, StateVector) pairs, the field state
+    sum_k w_k |v_k><v_k| with the atom excited; weights follow the rule of
+    :func:`idjc.fock.mix`.  targets: pure states to take fidelities with.
+    Inputs are checked once per call by the rules of EvolutionParams (lam
+    only sets the time scale and enters nowhere else) and of evolve_field
+    with its default tail tolerance.
+
+    Component k evolves into the stay branch a_k[n] = cos(phi_n) v_k[n] and
+    the flip branch b_k[n] = -i sin(phi_(n-1)) v_k[n-1]; the top level's
+    flip leaves the basis and is dropped, as in evolve_field.  Then
+
+        Tr rho^2 = sum_kl w_k w_l (|<a_k|a_l>|^2 + |<b_k|b_l>|^2 + 2 |<a_k|b_l>|^2)
+        F_psi    = sum_k w_k (|<psi|a_k>|^2 + |<psi|b_k>|^2)
+        P_e      = sum_k w_k ||a_k||^2
+    """
+    components = list(components)
+    weights = mixture_weights(components)
+    vecs = np.array([psi.amplitudes for _, psi in components])
+    dim = vecs.shape[1]
+    taus = np.array(taus, dtype=float, ndmin=1)
+    if taus.ndim != 1:
+        raise ValueError(f"taus must be one-dimensional, got shape {taus.shape}")
+    for tau in (taus.min(), taus.max()) if taus.size else (0.0,):
+        EvolutionParams(tau=float(tau), dim=dim, coupling=coupling, lam=lam)
+    _check_tail(float(weights @ np.sum(np.abs(vecs[:, -2:]) ** 2, axis=1)),
+                DEFAULT_TAIL_LEAK_TOL)
+    targets = list(targets)
+    for psi in targets:
+        if psi.dim != dim:
+            raise DimMismatch(f"target dim {psi.dim} != ensemble dim {dim}")
+    goals = np.array([psi.amplitudes for psi in targets], dtype=complex).reshape(-1, dim)
+
+    m = len(weights)
+    pair_weights = np.outer(weights, weights).ravel()
+    same, up = _pair_products(vecs, vecs)
+    goal_same, goal_up = _pair_products(goals, vecs)
+    pops = weights @ (vecs.real ** 2 + vecs.imag ** 2)
+
+    freqs = _pair_frequencies(dim, coupling, ATOM_EXCITED)
+    purity = np.empty(taus.size)
+    excited = np.empty(taus.size)
+    fids = np.empty((taus.size, len(goals)))
+    for start in range(0, taus.size, SWEEP_TAU_BLOCK):
+        block = slice(start, start + SWEEP_TAU_BLOCK)
+        phases = taus[block, None] * freqs[None, :]
+        cos, sin = np.cos(phases), np.sin(phases)
+        sin[:, -1] = 0.0  # the dropped top-level flip
+        cos2 = cos * cos
+        cross = np.zeros_like(cos)
+        cross[:, :-1] = cos[:, 1:] * sin[:, :-1]
+        overlaps = (_abs2(cos2, same) + _abs2(sin * sin, same)
+                    + 2.0 * _abs2(cross, up))
+        purity[block] = 1.0 - overlaps @ pair_weights
+        excited[block] = cos2 @ pops
+        branch = _abs2(cos, goal_same) + _abs2(sin, goal_up)
+        fids[block] = branch.reshape(len(phases), len(goals), m) @ weights
+    return BranchSweep(purity_defect=purity, excited_population=excited,
+                       fidelities=fids.T.copy())

@@ -139,15 +139,21 @@ class CatSpec:
         return 1.0 / (1.0 + r * r + 2.0 * r * math.exp(-2.0 * abs(self.alpha) ** 2))
 
 
-def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    """Untruncated coherent amplitudes exp(-|a|^2/2) a^n / sqrt(n!) for n < dim."""
-    if alpha == 0:
-        amp = np.zeros(dim, dtype=complex)
-        amp[0] = 1.0
-        return amp
+def coherent_amplitudes(betas, dim: int) -> np.ndarray:
+    """Rows of untruncated coherent amplitudes <n|beta> = exp(-|b|^2/2) b^n / sqrt(n!).
+
+    One row per entry of betas, n < dim.  Shared by the state constructors
+    and the Husimi overlaps.
+    """
+    betas = np.atleast_1d(np.asarray(betas, dtype=complex))
     n = np.arange(dim)
-    log_mag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1)
-    return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
+    mod = np.abs(betas)
+    safe = np.where(mod > 0.0, mod, 1.0)
+    log_mag = (-0.5 * mod[:, None] ** 2 + n[None, :] * np.log(safe)[:, None]
+               - 0.5 * gammaln(n + 1)[None, :])
+    mag = np.exp(log_mag)
+    mag[mod == 0.0] = (n == 0).astype(float)
+    return mag * np.exp(1j * np.angle(betas)[:, None] * n[None, :])
 
 
 def _check_truncation(alpha: complex, dim: int, tail_tol: float) -> None:
@@ -173,7 +179,7 @@ def make_coherent(alpha, dim: int | None = None,
     if dim is None:
         dim = default_dim(alpha)
     _check_truncation(alpha, dim, tail_tol)
-    return StateVector.normalized(_coherent_amplitudes(alpha, dim))
+    return StateVector.normalized(coherent_amplitudes(alpha, dim)[0])
 
 
 def make_cat(spec: CatSpec, dim: int | None = None,
@@ -188,7 +194,7 @@ def make_cat(spec: CatSpec, dim: int | None = None,
     if dim is None:
         dim = default_dim(alpha)
     _check_truncation(alpha, dim, tail_tol)
-    base = _coherent_amplitudes(alpha, dim)
+    base = coherent_amplitudes(alpha, dim)[0]
     parity_factor = 1.0 + spec.parity_r * (-1.0) ** np.arange(dim)
     return StateVector.normalized(base * parity_factor)
 
@@ -198,24 +204,34 @@ def pure_density(psi: StateVector) -> DensityMatrix:
     return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
-def mix(components) -> DensityMatrix:
-    """Convex combination of density matrices.
+def mixture_weights(components) -> np.ndarray:
+    """Checked weights of a sequence of (weight, state) pairs.
 
-    components: sequence of (weight, DensityMatrix) pairs; weights must be
-    nonnegative and sum to one within 1e-12, all matrices of equal dim.
+    Weights must be nonnegative and sum to one within 1e-12, and all states
+    (density matrices or state vectors) must share one dim.
     """
-    components = list(components)
     if not components:
-        raise WeightMismatch("mix() needs at least one component")
+        raise WeightMismatch("a mixture needs at least one component")
     weights = np.array([w for w, _ in components], dtype=float)
     if np.any(weights < 0.0):
         raise WeightMismatch(f"negative weight in {weights.tolist()}")
     total = float(weights.sum())
     if abs(total - 1.0) > 1e-12:
         raise WeightMismatch(f"weights sum to {total!r}, expected 1")
-    dims = {rho.dim for _, rho in components}
+    dims = {state.dim for _, state in components}
     if len(dims) != 1:
         raise DimMismatch(f"components have differing dims {sorted(dims)}")
+    return weights
+
+
+def mix(components) -> DensityMatrix:
+    """Convex combination of density matrices.
+
+    components: sequence of (weight, DensityMatrix) pairs, checked by
+    :func:`mixture_weights`.
+    """
+    components = list(components)
+    mixture_weights(components)
     out = components[0][0] * components[0][1].elements
     for w, rho in components[1:]:
         out += w * rho.elements

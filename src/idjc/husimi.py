@@ -20,26 +20,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import TruncationTooSmall
-from .fock import DensityMatrix, default_dim, poisson_tail
+from .fock import DensityMatrix, coherent_amplitudes, default_dim, poisson_tail
 
 #: Bound on the estimated absolute Q error from basis truncation.  The
 #: estimate is a worst-case Cauchy-Schwarz product of tail masses; states
 #: built with the default truncation rule score ~2e-9 at |beta| ~ 11 even
 #: though their actual error is below 1e-30, so the default leaves margin.
 DEFAULT_GUARD_TOL = 1e-6
-
-
-def _ket_overlaps(betas: np.ndarray, dim: int) -> np.ndarray:
-    """Rows of <n|beta> for each beta: exp(-|b|^2/2) b^n / sqrt(n!)."""
-    betas = np.atleast_1d(np.asarray(betas, dtype=complex))
-    n = np.arange(dim)
-    mod = np.abs(betas)
-    safe = np.where(mod > 0.0, mod, 1.0)
-    log_mag = (-0.5 * mod[:, None] ** 2 + n[None, :] * np.log(safe)[:, None]
-               - 0.5 * gammaln(n + 1)[None, :])
-    mag = np.exp(log_mag)
-    mag[mod == 0.0] = (n == 0).astype(float)
-    return mag * np.exp(1j * np.angle(betas)[:, None] * n[None, :])
 
 
 def _truncation_guard(rho: DensityMatrix, beta_sq_max: float, guard_tol: float) -> None:
@@ -68,7 +55,7 @@ def q_at(rho: DensityMatrix, beta, guard_tol: float = DEFAULT_GUARD_TOL) -> floa
     """Q at a single phase-space point beta = x + i y."""
     beta = complex(beta)
     _truncation_guard(rho, abs(beta) ** 2, guard_tol)
-    u = _ket_overlaps(np.array([beta]), rho.dim)[0]
+    u = coherent_amplitudes(beta, rho.dim)[0]
     return float(np.vdot(u, rho.elements @ u).real) / math.pi
 
 
@@ -130,7 +117,7 @@ def q_grid(rho: DensityMatrix, x_min: float, x_max: float, y_min: float, y_max: 
     el = rho.elements
 
     def row(i: int) -> np.ndarray:
-        u = _ket_overlaps(xs[i] + 1j * ys, el.shape[0])
+        u = coherent_amplitudes(xs[i] + 1j * ys, el.shape[0])
         return np.real(np.sum(u.conj() * (u @ el.T), axis=1)) / math.pi
 
     values = np.empty((nx, ny))

@@ -102,22 +102,30 @@ def config_from_mapping(raw) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def validate_config(config: ScenarioConfig) -> list[str]:
-    """All invariant violations, one message per field; empty list means OK."""
+    """All invariant violations, one message per field; empty list means OK.
+
+    Every float must be finite: an infinite tau_max or a NaN tau would
+    otherwise run and write NaN rows.
+    """
     errors = []
     if config.scenario is None:
         errors.append("scenario: required")
     elif config.scenario not in SCENARIO_NAMES:
         errors.append(f"scenario: unknown scenario {config.scenario!r}, "
                       f"choose from {', '.join(SCENARIO_NAMES)}")
-    if not isinstance(config.alpha, (int, float)) or not config.alpha > 0.0:
-        errors.append(f"alpha: must be a positive real number, got {config.alpha!r}")
+    if not (_finite(config.alpha) and config.alpha > 0.0):
+        errors.append(f"alpha: must be a finite positive real number, got {config.alpha!r}")
     if config.parity_r not in (-1, 0, 1):
         errors.append(f"parity_r: must be -1, 0 or +1, got {config.parity_r!r}")
-    if not config.lam > 0.0:
-        errors.append(f"lam: coupling constant must be positive, got {config.lam!r}")
-    if not config.tau_max > 0.0:
-        errors.append(f"tau_max: must be positive, got {config.tau_max!r}")
+    if not (_finite(config.lam) and config.lam > 0.0):
+        errors.append(f"lam: coupling constant must be finite and positive, got {config.lam!r}")
+    if not (_finite(config.tau_max) and config.tau_max > 0.0):
+        errors.append(f"tau_max: must be finite and positive, got {config.tau_max!r}")
     if config.tau_steps < 2:
         errors.append(f"tau_steps: need at least 2 grid points, got {config.tau_steps!r}")
     if config.dim != "auto":
@@ -130,8 +138,13 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     if config.tau_values is not None:
         if len(config.tau_values) == 0:
             errors.append("tau_values: must contain at least one tau")
-        elif any(t < 0.0 for t in config.tau_values):
-            errors.append("tau_values: all entries must be >= 0")
+        elif not all(_finite(t) and t >= 0.0 for t in config.tau_values):
+            errors.append("tau_values: all entries must be finite and >= 0")
+    bounds = GRID_FIELDS[:4]
+    for name in bounds:
+        value = getattr(config, name)
+        if value is not None and not _finite(value):
+            errors.append(f"{name}: must be finite, got {value!r}")
     if config.scenario == "qfunc-mixture":
         missing = [name for name in GRID_FIELDS if getattr(config, name) is None]
         if missing:
@@ -140,7 +153,8 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         else:
             if config.nx < 2 or config.ny < 2:
                 errors.append(f"grid: nx and ny must be >= 2, got {config.nx} x {config.ny}")
-            if not (config.x_max > config.x_min and config.y_max > config.y_min):
+            if (all(_finite(getattr(config, name)) for name in bounds)
+                    and not (config.x_max > config.x_min and config.y_max > config.y_min)):
                 errors.append("grid: bounds must satisfy x_max > x_min and y_max > y_min")
     return errors
 
@@ -156,16 +170,9 @@ def _tau_grid(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.tau_max, config.tau_steps)
 
 
-def _mixture_density(alpha: float, dim: int) -> fock.DensityMatrix:
-    plus = fock.pure_density(fock.make_coherent(alpha, dim))
-    minus = fock.pure_density(fock.make_coherent(-alpha, dim))
-    return fock.mix([(0.5, plus), (0.5, minus)])
-
-
-def _params(config: ScenarioConfig, tau: float, dim: int,
-            coupling: str = dynamics.INTENSITY_DEPENDENT) -> dynamics.EvolutionParams:
-    return dynamics.EvolutionParams(tau=float(tau), dim=dim, coupling=coupling,
-                                    lam=config.lam)
+def _coherent_mixture(alpha: float, dim: int) -> list[tuple[float, fock.StateVector]]:
+    """Equal-weight ensemble of |alpha> and |-alpha>."""
+    return [(0.5, fock.make_coherent(alpha, dim)), (0.5, fock.make_coherent(-alpha, dim))]
 
 
 def _fmt(value: float) -> str:
@@ -213,11 +220,8 @@ def _self_check_columns(name_a: str, col_a, name_b: str, col_b) -> None:
 
 def _run_purity_mixture(config, dim, jobs, self_check):
     taus = _tau_grid(config)
-    rho0 = _mixture_density(config.alpha, dim)
-    numeric = np.array([
-        fock.purity_defect(dynamics.evolve_field(rho0, _params(config, t, dim)))
-        for t in taus
-    ])
+    sweep = dynamics.sweep_branches(_coherent_mixture(config.alpha, dim), taus, lam=config.lam)
+    numeric = sweep.purity_defect
     closed = np.array([
         closed_form.purity_mixture_closed(config.alpha, t, dim) for t in taus
     ])
@@ -230,10 +234,9 @@ def _run_purity_mixture(config, dim, jobs, self_check):
 def _run_inversion_cat(config, dim, jobs, self_check):
     taus = _tau_grid(config)
     spec = fock.CatSpec(alpha=config.alpha, parity_r=config.parity_r)
-    rho0 = fock.pure_density(fock.make_cat(spec, dim))
-    numeric = np.array([
-        dynamics.atomic_inversion(rho0, _params(config, t, dim)) for t in taus
-    ])
+    cat = fock.make_cat(spec, dim)
+    sweep = dynamics.sweep_branches([(1.0, cat)], taus, lam=config.lam)
+    numeric = 2.0 * sweep.excited_population - 1.0
     closed = np.array([
         closed_form.inversion_cat_closed(config.alpha, config.parity_r, t) for t in taus
     ])
@@ -246,10 +249,12 @@ def _run_inversion_cat(config, dim, jobs, self_check):
 
 def _run_qfunc_mixture(config, dim, jobs, self_check):
     taus = config.tau_values if config.tau_values is not None else DEFAULT_QFUNC_TAUS
-    rho0 = _mixture_density(config.alpha, dim)
+    rho0 = fock.mix([(w, fock.pure_density(psi))
+                     for w, psi in _coherent_mixture(config.alpha, dim)])
     outputs = []
     for tau in taus:
-        rho = dynamics.evolve_field(rho0, _params(config, tau, dim))
+        params = dynamics.EvolutionParams(tau=float(tau), dim=dim, lam=config.lam)
+        rho = dynamics.evolve_field(rho0, params)
         grid = husimi.q_grid(rho, config.x_min, config.x_max, config.y_min,
                              config.y_max, config.nx, config.ny, jobs=jobs)
         xs, ys = grid.xs, grid.ys
@@ -283,18 +288,13 @@ def _qfunc_self_check(config, tau, x_col, y_col, q_col) -> None:
 def _run_cat_transition(config, dim, jobs, self_check):
     taus = _tau_grid(config)
     spec = fock.CatSpec(alpha=config.alpha, parity_r=config.parity_r)
-    rho0 = fock.pure_density(fock.make_cat(spec, dim))
+    cat = fock.make_cat(spec, dim)
     even_here = fock.make_cat(fock.CatSpec(alpha=config.alpha, parity_r=1), dim)
     odd_rotated = fock.make_cat(fock.CatSpec(alpha=config.alpha * 1j, parity_r=-1), dim)
-    p_exc = np.empty_like(taus)
-    fid_even = np.empty_like(taus)
-    fid_odd = np.empty_like(taus)
-    for i, tau in enumerate(taus):
-        params = _params(config, tau, dim)
-        rho = dynamics.evolve_field(rho0, params)
-        p_exc[i] = dynamics.excited_population(rho0, params)
-        fid_even[i] = fock.fidelity_with_pure(rho, even_here)
-        fid_odd[i] = fock.fidelity_with_pure(rho, odd_rotated)
+    sweep = dynamics.sweep_branches([(1.0, cat)], taus, targets=(even_here, odd_rotated),
+                                    lam=config.lam)
+    p_exc = sweep.excited_population
+    fid_even, fid_odd = sweep.fidelities
     if self_check:
         closed_pe = np.array([
             (closed_form.inversion_cat_closed(config.alpha, config.parity_r, t) + 1.0) / 2.0
@@ -308,16 +308,10 @@ def _run_cat_transition(config, dim, jobs, self_check):
 
 def _run_ordinary_contrast(config, dim, jobs, self_check):
     taus = _tau_grid(config)
-    rho0 = _mixture_density(config.alpha, dim)
-    zeta_id = np.array([
-        fock.purity_defect(dynamics.evolve_field(rho0, _params(config, t, dim)))
-        for t in taus
-    ])
-    zeta_ord = np.array([
-        fock.purity_defect(dynamics.evolve_field(
-            rho0, _params(config, t, dim, coupling=dynamics.ORDINARY)))
-        for t in taus
-    ])
+    mixture = _coherent_mixture(config.alpha, dim)
+    zeta_id = dynamics.sweep_branches(mixture, taus, lam=config.lam).purity_defect
+    zeta_ord = dynamics.sweep_branches(mixture, taus, coupling=dynamics.ORDINARY,
+                                       lam=config.lam).purity_defect
     if self_check:
         closed = np.array([
             closed_form.purity_mixture_closed(config.alpha, t, dim) for t in taus

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from idjc.cli import main
 
 
@@ -85,6 +87,51 @@ class TestExitCodes:
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
         assert run_cli("run", "--config", str(cfg)) == 2
+
+
+QFUNC_ARGS = {"--alpha": "2", "--x-min": "-4", "--x-max": "4", "--y-min": "-4",
+              "--y-max": "4", "--nx": "5", "--ny": "5", "--tau-values": "0,0.5"}
+
+
+class TestNonFiniteInput:
+    """Every non-finite float is a configuration error; nothing is written."""
+
+    def run_qfunc(self, tmp_path, flag, value):
+        args = dict(QFUNC_ARGS, **{flag: value})
+        return run_cli("run", "--scenario", "qfunc-mixture", "--out", str(tmp_path / "q.csv"),
+                       *(f"{key}={val}" for key, val in args.items()))
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_alpha(self, tmp_path, value):
+        assert self.run_qfunc(tmp_path, "--alpha", value) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_lam(self, tmp_path, value):
+        assert run_cli("run", "--scenario", "inversion-cat", "--lambda", value,
+                       "--tau-steps", "5", "--out", str(tmp_path / "w.csv")) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_tau_max(self, tmp_path, value):
+        assert run_cli("run", "--scenario", "purity-mixture", "--tau-max", value,
+                       "--tau-steps", "5", "--out", str(tmp_path / "p.csv")) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--x-min", "--x-max", "--y-min", "--y-max"])
+    @pytest.mark.parametrize("value", ["-inf", "inf", "nan"])
+    def test_grid_bound(self, tmp_path, flag, value):
+        assert self.run_qfunc(tmp_path, flag, value) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "0,inf", "0.5,nan"])
+    def test_tau_values(self, tmp_path, value):
+        assert self.run_qfunc(tmp_path, "--tau-values", value) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_finite_run_writes(self, tmp_path):
+        assert self.run_qfunc(tmp_path, "--alpha", "2") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["q_t0.csv", "q_t1.csv"]
 
 
 class TestConsoleEntryPoint:

@@ -121,6 +121,11 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             idjc.EvolutionParams(tau=0.1, dim=10, atom="superposed")
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ValueError):
+            idjc.EvolutionParams(tau=tau, dim=10)
+
     def test_physical_time(self):
         assert idjc.EvolutionParams(tau=math.pi, dim=4, lam=2.0).time == math.pi / 2
 
