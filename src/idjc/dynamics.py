@@ -269,16 +269,15 @@ def _abs2(trig: np.ndarray, split: np.ndarray) -> np.ndarray:
     return out[:, :half] ** 2 + out[:, half:] ** 2
 
 
-def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT, targets=(),
-                   lam: float = 1.0) -> BranchSweep:
+def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
+                   targets=()) -> BranchSweep:
     """Purity defect, excited population and target fidelities over a tau grid.
 
     components: (weight, StateVector) pairs, the field state
     sum_k w_k |v_k><v_k| with the atom excited; weights follow the rule of
     :func:`idjc.fock.mix`.  targets: pure states to take fidelities with.
-    Inputs are checked once per call by the rules of EvolutionParams (lam
-    only sets the time scale and enters nowhere else) and of evolve_field
-    with its default tail tolerance.
+    Inputs are checked once per call by the rules of EvolutionParams and of
+    evolve_field with its default tail tolerance.
 
     Component k evolves into the stay branch a_k[n] = cos(phi_n) v_k[n] and
     the flip branch b_k[n] = -i sin(phi_(n-1)) v_k[n-1]; the top level's
@@ -296,7 +295,7 @@ def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT, target
     if taus.ndim != 1:
         raise ValueError(f"taus must be one-dimensional, got shape {taus.shape}")
     for tau in (taus.min(), taus.max()) if taus.size else (0.0,):
-        EvolutionParams(tau=float(tau), dim=dim, coupling=coupling, lam=lam)
+        EvolutionParams(tau=float(tau), dim=dim, coupling=coupling)
     _check_tail(float(weights @ np.sum(np.abs(vecs[:, -2:]) ** 2, axis=1)),
                 DEFAULT_TAIL_LEAK_TOL)
     targets = list(targets)

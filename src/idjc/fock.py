@@ -139,7 +139,7 @@ class CatSpec:
         return 1.0 / (1.0 + r * r + 2.0 * r * math.exp(-2.0 * abs(self.alpha) ** 2))
 
 
-def coherent_amplitudes(betas, dim: int) -> np.ndarray:
+def _coherent_amplitudes(betas, dim: int) -> np.ndarray:
     """Rows of untruncated coherent amplitudes <n|beta> = exp(-|b|^2/2) b^n / sqrt(n!).
 
     One row per entry of betas, n < dim.  Shared by the state constructors
@@ -179,7 +179,7 @@ def make_coherent(alpha, dim: int | None = None,
     if dim is None:
         dim = default_dim(alpha)
     _check_truncation(alpha, dim, tail_tol)
-    return StateVector.normalized(coherent_amplitudes(alpha, dim)[0])
+    return StateVector.normalized(_coherent_amplitudes(alpha, dim)[0])
 
 
 def make_cat(spec: CatSpec, dim: int | None = None,
@@ -194,7 +194,7 @@ def make_cat(spec: CatSpec, dim: int | None = None,
     if dim is None:
         dim = default_dim(alpha)
     _check_truncation(alpha, dim, tail_tol)
-    base = coherent_amplitudes(alpha, dim)[0]
+    base = _coherent_amplitudes(alpha, dim)[0]
     parity_factor = 1.0 + spec.parity_r * (-1.0) ** np.arange(dim)
     return StateVector.normalized(base * parity_factor)
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import TruncationTooSmall
-from .fock import DensityMatrix, coherent_amplitudes, default_dim, poisson_tail
+from .fock import DensityMatrix, _coherent_amplitudes, default_dim, poisson_tail
 
 #: Bound on the estimated absolute Q error from basis truncation.  The
 #: estimate is a worst-case Cauchy-Schwarz product of tail masses; states
@@ -55,7 +55,7 @@ def q_at(rho: DensityMatrix, beta, guard_tol: float = DEFAULT_GUARD_TOL) -> floa
     """Q at a single phase-space point beta = x + i y."""
     beta = complex(beta)
     _truncation_guard(rho, abs(beta) ** 2, guard_tol)
-    u = coherent_amplitudes(beta, rho.dim)[0]
+    u = _coherent_amplitudes(beta, rho.dim)[0]
     return float(np.vdot(u, rho.elements @ u).real) / math.pi
 
 
@@ -117,7 +117,7 @@ def q_grid(rho: DensityMatrix, x_min: float, x_max: float, y_min: float, y_max: 
     el = rho.elements
 
     def row(i: int) -> np.ndarray:
-        u = coherent_amplitudes(xs[i] + 1j * ys, el.shape[0])
+        u = _coherent_amplitudes(xs[i] + 1j * ys, el.shape[0])
         return np.real(np.sum(u.conj() * (u @ el.T), axis=1)) / math.pi
 
     values = np.empty((nx, ny))

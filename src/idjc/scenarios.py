@@ -220,7 +220,7 @@ def _self_check_columns(name_a: str, col_a, name_b: str, col_b) -> None:
 
 def _run_purity_mixture(config, dim, jobs, self_check):
     taus = _tau_grid(config)
-    sweep = dynamics.sweep_branches(_coherent_mixture(config.alpha, dim), taus, lam=config.lam)
+    sweep = dynamics.sweep_branches(_coherent_mixture(config.alpha, dim), taus)
     numeric = sweep.purity_defect
     closed = np.array([
         closed_form.purity_mixture_closed(config.alpha, t, dim) for t in taus
@@ -235,7 +235,7 @@ def _run_inversion_cat(config, dim, jobs, self_check):
     taus = _tau_grid(config)
     spec = fock.CatSpec(alpha=config.alpha, parity_r=config.parity_r)
     cat = fock.make_cat(spec, dim)
-    sweep = dynamics.sweep_branches([(1.0, cat)], taus, lam=config.lam)
+    sweep = dynamics.sweep_branches([(1.0, cat)], taus)
     numeric = 2.0 * sweep.excited_population - 1.0
     closed = np.array([
         closed_form.inversion_cat_closed(config.alpha, config.parity_r, t) for t in taus
@@ -291,8 +291,8 @@ def _run_cat_transition(config, dim, jobs, self_check):
     cat = fock.make_cat(spec, dim)
     even_here = fock.make_cat(fock.CatSpec(alpha=config.alpha, parity_r=1), dim)
     odd_rotated = fock.make_cat(fock.CatSpec(alpha=config.alpha * 1j, parity_r=-1), dim)
-    sweep = dynamics.sweep_branches([(1.0, cat)], taus, targets=(even_here, odd_rotated),
-                                    lam=config.lam)
+    sweep = dynamics.sweep_branches([(1.0, cat)], taus,
+                                    targets=(even_here, odd_rotated))
     p_exc = sweep.excited_population
     fid_even, fid_odd = sweep.fidelities
     if self_check:
@@ -309,9 +309,9 @@ def _run_cat_transition(config, dim, jobs, self_check):
 def _run_ordinary_contrast(config, dim, jobs, self_check):
     taus = _tau_grid(config)
     mixture = _coherent_mixture(config.alpha, dim)
-    zeta_id = dynamics.sweep_branches(mixture, taus, lam=config.lam).purity_defect
-    zeta_ord = dynamics.sweep_branches(mixture, taus, coupling=dynamics.ORDINARY,
-                                       lam=config.lam).purity_defect
+    zeta_id = dynamics.sweep_branches(mixture, taus).purity_defect
+    zeta_ord = dynamics.sweep_branches(mixture, taus,
+                                       coupling=dynamics.ORDINARY).purity_defect
     if self_check:
         closed = np.array([
             closed_form.purity_mixture_closed(config.alpha, t, dim) for t in taus

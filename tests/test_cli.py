@@ -129,10 +129,6 @@ class TestNonFiniteInput:
         assert self.run_qfunc(tmp_path, "--tau-values", value) == 2
         assert list(tmp_path.iterdir()) == []
 
-    def test_finite_run_writes(self, tmp_path):
-        assert self.run_qfunc(tmp_path, "--alpha", "2") == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["q_t0.csv", "q_t1.csv"]
-
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):
