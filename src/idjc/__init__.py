@@ -54,7 +54,7 @@ from .fock import (
     pure_density,
     purity_defect,
 )
-from .husimi import QGrid, q_at, q_grid, q_mixture_closed
+from .husimi import QGrid, q_at, q_grid, q_mixture_closed, q_sweep
 
 __version__ = "0.1.0"
 
@@ -101,6 +101,7 @@ __all__ = [
     "q_at",
     "q_grid",
     "q_mixture_closed",
+    "q_sweep",
     "revival_time",
     "sweep_branches",
 ]

@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError, IdjcError
-from .scenarios import SCENARIO_NAMES, config_from_mapping, run_scenario
+from .scenarios import SCENARIO_NAMES, ScenarioConfig, config_from_mapping, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", dest="output_format", choices=("csv", "json"))
     run.add_argument("--self-check", action="store_true",
                      help="cross-check numeric output against closed forms before writing")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="worker threads for grid rows (output is identical for any value)")
+    run.add_argument("--jobs", type=int,
+                     help="accepted for compatibility; has no effect")
     return parser
 
 
@@ -68,13 +69,6 @@ def _tau_list(text: str) -> tuple[float, ...]:
 
 def _dim_value(text: str):
     return text if text == "auto" else int(text)
-
-
-_OVERRIDE_KEYS = (
-    "scenario", "alpha", "parity_r", "lam", "tau_max", "tau_steps", "tau_values",
-    "dim", "x_min", "x_max", "y_min", "y_max", "nx", "ny",
-    "output_path", "output_format",
-)
 
 
 def _load_config_file(path: Path) -> dict:
@@ -92,12 +86,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = _load_config_file(args.config) if args.config else {}
-        for key in _OVERRIDE_KEYS:
-            value = getattr(args, key, None)
+        for field in fields(ScenarioConfig):
+            value = getattr(args, field.name, None)
             if value is not None:
-                raw[key] = value
+                raw[field.name] = value
         config = config_from_mapping(raw)
-        paths = run_scenario(config, self_check=args.self_check, jobs=args.jobs)
+        paths = run_scenario(config, self_check=args.self_check)
     except ConfigError as exc:
         for message in exc.field_errors:
             print(f"error: {message}", file=sys.stderr)

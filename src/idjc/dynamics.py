@@ -24,6 +24,8 @@ purity, excited population and fidelities are sums of branch overlaps.
 Every overlap is a real (taus x dim) trigonometric block times a fixed
 complex dim-vector, evaluated over fixed-size tau blocks; no evolved matrix
 is ever built, and the temporaries do not grow with the number of taus.
+With coherent states as targets the fidelity sum is the Husimi Q of the
+evolved ensemble, which is how :func:`idjc.husimi.q_sweep` builds Q grids.
 """
 
 from __future__ import annotations
@@ -55,21 +57,18 @@ SWEEP_TAU_BLOCK = 64
 class EvolutionParams:
     """Evolution inputs: dimensionless time tau = lambda*t plus mode switches.
 
-    The coupling constant lam only sets the physical time scale; the
-    dynamics is expressed entirely in tau.  atom selects the initial atomic
-    state; the ground-state case is the mirror map with the roles of the
-    two branches swapped (pair frequencies n instead of n+1).
+    The dynamics depends on the coupling constant only through tau.  atom
+    selects the initial atomic state; the ground-state case is the mirror
+    map with the roles of the two branches swapped (pair frequencies n
+    instead of n+1).
     """
 
     tau: float
     dim: int
     coupling: str = INTENSITY_DEPENDENT
     atom: str = ATOM_EXCITED
-    lam: float = 1.0
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError(f"coupling constant must be positive, got {self.lam!r}")
         if not (self.tau >= 0.0 and math.isfinite(self.tau)):
             raise ValueError(f"tau must be finite and >= 0, got {self.tau!r}")
         if self.dim < 2:
@@ -78,11 +77,6 @@ class EvolutionParams:
             raise ValueError(f"unknown coupling mode {self.coupling!r}")
         if self.atom not in (ATOM_EXCITED, ATOM_GROUND):
             raise ValueError(f"unknown atom state {self.atom!r}")
-
-    @property
-    def time(self) -> float:
-        """Physical interaction time t = tau / lam."""
-        return self.tau / self.lam
 
 
 def _pair_frequencies(dim: int, coupling: str, atom: str) -> np.ndarray:
@@ -275,9 +269,9 @@ def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
 
     components: (weight, StateVector) pairs, the field state
     sum_k w_k |v_k><v_k| with the atom excited; weights follow the rule of
-    :func:`idjc.fock.mix`.  targets: pure states to take fidelities with.
-    Inputs are checked once per call by the rules of EvolutionParams and of
-    evolve_field with its default tail tolerance.
+    :func:`idjc.fock.mix`.  targets: amplitude rows of the states to take
+    fidelities with.  Inputs are checked once per call by the rules of
+    EvolutionParams and of evolve_field with its default tail tolerance.
 
     Component k evolves into the stay branch a_k[n] = cos(phi_n) v_k[n] and
     the flip branch b_k[n] = -i sin(phi_(n-1)) v_k[n-1]; the top level's
@@ -298,11 +292,10 @@ def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
         EvolutionParams(tau=float(tau), dim=dim, coupling=coupling)
     _check_tail(float(weights @ np.sum(np.abs(vecs[:, -2:]) ** 2, axis=1)),
                 DEFAULT_TAIL_LEAK_TOL)
-    targets = list(targets)
-    for psi in targets:
-        if psi.dim != dim:
-            raise DimMismatch(f"target dim {psi.dim} != ensemble dim {dim}")
-    goals = np.array([psi.amplitudes for psi in targets], dtype=complex).reshape(-1, dim)
+    goals = np.array(targets, dtype=complex)
+    if goals.size and goals.shape[1:] != (dim,):
+        raise DimMismatch(f"target rows of shape {goals.shape[1:]} != ensemble dim {dim}")
+    goals = goals.reshape(-1, dim)
 
     m = len(weights)
     pair_weights = np.outer(weights, weights).ravel()

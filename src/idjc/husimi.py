@@ -5,22 +5,23 @@ complex plane, bounded pointwise by 1/pi.  Coherent overlaps are evaluated
 in log space with the phase tracked separately, so |beta| ~ 10 against
 photon numbers in the hundreds stays well inside double range.
 
-Grid evaluation is defined point by point (no state between points), so
-rows may be computed concurrently; assembly is in index order and the
-result does not depend on the execution schedule.
+q_grid takes any density matrix.  q_sweep takes an evolving pure-state
+ensemble and a tau grid: Q is the fidelity sum of the stay and flip
+branches of :func:`idjc.dynamics.sweep_branches` with coherent targets.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
+from .dynamics import sweep_branches
 from .errors import TruncationTooSmall
-from .fock import DensityMatrix, _coherent_amplitudes, default_dim, poisson_tail
+from .fock import (DensityMatrix, _coherent_amplitudes, default_dim, photon_distribution,
+                   poisson_tail)
 
 #: Bound on the estimated absolute Q error from basis truncation.  The
 #: estimate is a worst-case Cauchy-Schwarz product of tail masses; states
@@ -29,32 +30,28 @@ from .fock import DensityMatrix, _coherent_amplitudes, default_dim, poisson_tail
 DEFAULT_GUARD_TOL = 1e-6
 
 
-def _truncation_guard(rho: DensityMatrix, beta_sq_max: float, guard_tol: float) -> None:
-    """Reject evaluations whose value could be visibly wrong for the given rho.
+def _truncation_guard(top: float, dim: int, beta_sq_max: float, guard_tol: float) -> None:
+    """Reject evaluations whose value could be visibly wrong for a truncated state.
 
-    The computed Q is exact for rho as stored; it can only misrepresent the
-    untruncated state when rho itself was cut short.  The estimate below
-    multiplies the two tail masses (the probe state's and rho's), which is
-    zero whenever the top levels of rho are empty, so points far outside the
-    basis are fine against well-truncated states.
+    The computed Q is exact for the state as stored; it can only
+    misrepresent the untruncated state when that was cut short.  The
+    estimate multiplies the two tail masses (the probe state's and top, the
+    state's top-two-level population), which is zero whenever those levels
+    are empty, so points far outside the basis are fine then.
     """
-    top = float(np.real(rho.elements[-1, -1]))
-    if rho.dim >= 2:
-        top += float(np.real(rho.elements[-2, -2]))
-    top = max(top, 0.0)
-    probe_tail = poisson_tail(beta_sq_max, rho.dim)
-    estimate = math.sqrt(probe_tail * top) / math.pi
+    probe_tail = poisson_tail(beta_sq_max, dim)
+    estimate = math.sqrt(probe_tail * max(top, 0.0)) / math.pi
     if not estimate < guard_tol:
         raise TruncationTooSmall(
             f"estimated Q truncation error {estimate:.2e} exceeds {guard_tol:.1e} "
-            f"(|beta|^2 = {beta_sq_max:g}, dim = {rho.dim}); increase dim"
+            f"(|beta|^2 = {beta_sq_max:g}, dim = {dim}); increase dim"
         )
 
 
 def q_at(rho: DensityMatrix, beta, guard_tol: float = DEFAULT_GUARD_TOL) -> float:
     """Q at a single phase-space point beta = x + i y."""
     beta = complex(beta)
-    _truncation_guard(rho, abs(beta) ** 2, guard_tol)
+    _truncation_guard(photon_distribution(rho)[-2:].sum(), rho.dim, abs(beta) ** 2, guard_tol)
     u = _coherent_amplitudes(beta, rho.dim)[0]
     return float(np.vdot(u, rho.elements @ u).real) / math.pi
 
@@ -97,39 +94,50 @@ class QGrid:
         return float(self.values.sum()) * self.cell_area
 
 
-def q_grid(rho: DensityMatrix, x_min: float, x_max: float, y_min: float, y_max: float,
-           nx: int = 161, ny: int = 161, guard_tol: float = DEFAULT_GUARD_TOL,
-           jobs: int = 1) -> QGrid:
-    """Q on a rectangular grid, optionally with rows computed in parallel.
-
-    The result is identical for any jobs value: each row is an independent
-    pure evaluation and rows are stored by index.
-    """
+def _grid_axes(x_min: float, x_max: float, y_min: float, y_max: float,
+               nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Sample points of a valid grid and the largest |beta|^2 on it."""
     if nx < 2 or ny < 2:
         raise ValueError(f"grid needs nx, ny >= 2, got {nx} x {ny}")
     if not (x_max > x_min and y_max > y_min):
         raise ValueError("grid bounds must satisfy x_max > x_min and y_max > y_min")
     corner_sq = max(x_min**2, x_max**2) + max(y_min**2, y_max**2)
-    _truncation_guard(rho, corner_sq, guard_tol)
+    return np.linspace(x_min, x_max, nx), np.linspace(y_min, y_max, ny), corner_sq
 
-    xs = np.linspace(x_min, x_max, nx)
-    ys = np.linspace(y_min, y_max, ny)
+
+def q_grid(rho: DensityMatrix, x_min: float, x_max: float, y_min: float, y_max: float,
+           nx: int = 161, ny: int = 161, guard_tol: float = DEFAULT_GUARD_TOL,
+           jobs: int = 1) -> QGrid:
+    """Q of any density matrix on a rectangular grid; jobs is accepted and has no effect."""
+    xs, ys, corner_sq = _grid_axes(x_min, x_max, y_min, y_max, nx, ny)
+    _truncation_guard(photon_distribution(rho)[-2:].sum(), rho.dim, corner_sq, guard_tol)
     el = rho.elements
-
-    def row(i: int) -> np.ndarray:
-        u = _coherent_amplitudes(xs[i] + 1j * ys, el.shape[0])
-        return np.real(np.sum(u.conj() * (u @ el.T), axis=1)) / math.pi
-
     values = np.empty((nx, ny))
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for i, r in enumerate(pool.map(row, range(nx))):
-                values[i, :] = r
-    else:
-        for i in range(nx):
-            values[i, :] = row(i)
+    for i, x in enumerate(xs):
+        u = _coherent_amplitudes(x + 1j * ys, rho.dim)
+        values[i] = np.real(np.sum(u.conj() * (u @ el.T), axis=1)) / math.pi
     return QGrid(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max,
                  nx=nx, ny=ny, values=values)
+
+
+def q_sweep(components, taus, x_min: float, x_max: float, y_min: float, y_max: float,
+            nx: int = 161, ny: int = 161, guard_tol: float = DEFAULT_GUARD_TOL) -> list[QGrid]:
+    """Q of an evolved pure-state ensemble on a rectangular grid, one QGrid per tau.
+
+    components and taus are checked as for :func:`idjc.dynamics.sweep_branches`.
+    Equals q_grid of the dense evolved state at each tau, guard included.
+    """
+    components = list(components)
+    xs, ys, corner_sq = _grid_axes(x_min, x_max, y_min, y_max, nx, ny)
+    dim = components[0][1].dim if components else 0
+    top = sweep_branches(components, taus, targets=np.eye(dim)[-2:]).fidelities.sum(axis=0)
+    _truncation_guard(float(top.max(initial=0.0)), dim, corner_sq, guard_tol)
+    values = np.empty((top.size, nx, ny))
+    for i, x in enumerate(xs):
+        rows = _coherent_amplitudes(x + 1j * ys, dim)
+        values[:, i, :] = sweep_branches(components, taus, targets=rows).fidelities.T / math.pi
+    return [QGrid(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max,
+                  nx=nx, ny=ny, values=v) for v in values]
 
 
 def _series_terms(alpha: float, beta: complex, n_terms: int) -> np.ndarray:

@@ -3,15 +3,16 @@
 Each scenario sweeps the dimensionless time tau = lambda*t and writes one
 CSV or JSON table; the phase-space scenario writes one grid file per
 requested tau.  Identical configuration produces byte-identical files on
-every run and for every parallelism setting: floats are serialized with 17
-significant digits (lossless round trip) and grid rows are assembled in
-index order.
+every run: floats are serialized with 17 significant digits (lossless round
+trip).  Every scenario evaluates its tau grid on the branch sweep of
+:mod:`idjc.dynamics`; the Q grids come from :func:`idjc.husimi.q_sweep`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -78,7 +79,7 @@ def config_from_mapping(raw) -> ScenarioConfig:
         try:
             if value is None:
                 pass
-            elif key in _INT_FIELDS:
+            elif key in _INT_FIELDS or (key == "dim" and value != "auto"):
                 if isinstance(value, float) and not value.is_integer():
                     raise ValueError(value)
                 value = int(value)
@@ -86,11 +87,6 @@ def config_from_mapping(raw) -> ScenarioConfig:
                 value = float(value)
             elif key == "tau_values":
                 value = tuple(float(t) for t in value)
-            elif key == "dim":
-                if value != "auto":
-                    if isinstance(value, float) and not value.is_integer():
-                        raise ValueError(value)
-                    value = int(value)
             elif key in ("scenario", "output_path", "output_format"):
                 value = str(value)
         except (TypeError, ValueError):
@@ -218,7 +214,7 @@ def _self_check_columns(name_a: str, col_a, name_b: str, col_b) -> None:
         )
 
 
-def _run_purity_mixture(config, dim, jobs, self_check):
+def _run_purity_mixture(config, dim, self_check):
     taus = _tau_grid(config)
     sweep = dynamics.sweep_branches(_coherent_mixture(config.alpha, dim), taus)
     numeric = sweep.purity_defect
@@ -231,7 +227,7 @@ def _run_purity_mixture(config, dim, jobs, self_check):
     return [(header, (taus, numeric, closed), None)]
 
 
-def _run_inversion_cat(config, dim, jobs, self_check):
+def _run_inversion_cat(config, dim, self_check):
     taus = _tau_grid(config)
     spec = fock.CatSpec(alpha=config.alpha, parity_r=config.parity_r)
     cat = fock.make_cat(spec, dim)
@@ -247,19 +243,14 @@ def _run_inversion_cat(config, dim, jobs, self_check):
     return [(header, (taus, numeric, closed), extra)]
 
 
-def _run_qfunc_mixture(config, dim, jobs, self_check):
+def _run_qfunc_mixture(config, dim, self_check):
     taus = config.tau_values if config.tau_values is not None else DEFAULT_QFUNC_TAUS
-    rho0 = fock.mix([(w, fock.pure_density(psi))
-                     for w, psi in _coherent_mixture(config.alpha, dim)])
+    grids = husimi.q_sweep(_coherent_mixture(config.alpha, dim), taus, config.x_min,
+                           config.x_max, config.y_min, config.y_max, config.nx, config.ny)
     outputs = []
-    for tau in taus:
-        params = dynamics.EvolutionParams(tau=float(tau), dim=dim, lam=config.lam)
-        rho = dynamics.evolve_field(rho0, params)
-        grid = husimi.q_grid(rho, config.x_min, config.x_max, config.y_min,
-                             config.y_max, config.nx, config.ny, jobs=jobs)
-        xs, ys = grid.xs, grid.ys
-        x_col = np.repeat(xs, config.ny)
-        y_col = np.tile(ys, config.nx)
+    for tau, grid in zip(taus, grids):
+        x_col = np.repeat(grid.xs, config.ny)
+        y_col = np.tile(grid.ys, config.nx)
         q_col = grid.values.reshape(-1)
         if self_check:
             _qfunc_self_check(config, tau, x_col, y_col, q_col)
@@ -285,14 +276,14 @@ def _qfunc_self_check(config, tau, x_col, y_col, q_col) -> None:
     _self_check_columns("q", q_col[idx], "q_closed", closed)
 
 
-def _run_cat_transition(config, dim, jobs, self_check):
+def _run_cat_transition(config, dim, self_check):
     taus = _tau_grid(config)
     spec = fock.CatSpec(alpha=config.alpha, parity_r=config.parity_r)
     cat = fock.make_cat(spec, dim)
     even_here = fock.make_cat(fock.CatSpec(alpha=config.alpha, parity_r=1), dim)
     odd_rotated = fock.make_cat(fock.CatSpec(alpha=config.alpha * 1j, parity_r=-1), dim)
     sweep = dynamics.sweep_branches([(1.0, cat)], taus,
-                                    targets=(even_here, odd_rotated))
+                                    targets=(even_here.amplitudes, odd_rotated.amplitudes))
     p_exc = sweep.excited_population
     fid_even, fid_odd = sweep.fidelities
     if self_check:
@@ -306,7 +297,7 @@ def _run_cat_transition(config, dim, jobs, self_check):
     return [(header, (taus, p_exc, fid_even, fid_odd), extra)]
 
 
-def _run_ordinary_contrast(config, dim, jobs, self_check):
+def _run_ordinary_contrast(config, dim, self_check):
     taus = _tau_grid(config)
     mixture = _coherent_mixture(config.alpha, dim)
     zeta_id = dynamics.sweep_branches(mixture, taus).purity_defect
@@ -337,24 +328,35 @@ def _output_paths(config: ScenarioConfig, count: int) -> list[Path]:
     return [base.with_name(f"{base.stem}_t{k}{base.suffix}") for k in range(count)]
 
 
-def run_scenario(config: ScenarioConfig, self_check: bool = False,
-                 jobs: int = 1) -> list[Path]:
+def run_scenario(config: ScenarioConfig, self_check: bool = False) -> list[Path]:
     """Run one scenario and write its output file(s); returns the paths written.
 
     Raises ConfigError for invalid configuration, TruncationTooSmall or
     TailLeak when dim cannot hold the requested states, SelfCheckFailed when
     --self-check finds a numeric/closed-form mismatch, and OSError for
-    filesystem problems.  Nothing is written unless all checks pass.
+    filesystem problems.  Nothing is written unless all checks pass, and a
+    failed write leaves none of the run's files: tables go to temporary files
+    first, renamed to their targets once all are written.
     """
     errors = validate_config(config)
     if errors:
         raise ConfigError(errors)
     dim = resolve_dim(config)
-    tables = _RUNNERS[config.scenario](config, dim, jobs, self_check)
+    tables = _RUNNERS[config.scenario](config, dim, self_check)
     paths = _output_paths(config, len(tables))
-    for path, (header, columns, extra) in zip(paths, tables):
-        if config.output_format == "csv":
-            _write_csv(path, header, columns)
-        else:
-            _write_json(path, header, columns, _metadata(config, dim, extra))
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    placed = []
+    try:
+        for temp, (header, columns, extra) in zip(temps, tables):
+            if config.output_format == "csv":
+                _write_csv(temp, header, columns)
+            else:
+                _write_json(temp, header, columns, _metadata(config, dim, extra))
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+            placed.append(path)
+    except BaseException:
+        for leftover in temps + placed:
+            leftover.unlink(missing_ok=True)
+        raise
     return paths

@@ -80,6 +80,12 @@ class TestExitCodes:
         assert run_cli("run", "--scenario", "purity-mixture", "--tau-steps", "5",
                        "--out", str(missing_dir)) == 4
 
+    def test_failed_multi_file_write_leaves_nothing(self, tmp_path):
+        (tmp_path / "out_t1.csv").mkdir()  # the second grid file cannot be written
+        assert run_cli("run", "--scenario", "qfunc-mixture", "--out", str(tmp_path / "out.csv"),
+                       *(f"{key}={val}" for key, val in QFUNC_ARGS.items())) == 4
+        assert [p.name for p in tmp_path.iterdir()] == ["out_t1.csv"]
+
     def test_unreadable_config_is_4(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "none.json")) == 4
 

@@ -115,8 +115,6 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             idjc.EvolutionParams(tau=0.1, dim=1)
         with pytest.raises(ValueError):
-            idjc.EvolutionParams(tau=0.1, dim=10, lam=0.0)
-        with pytest.raises(ValueError):
             idjc.EvolutionParams(tau=0.1, dim=10, coupling="linear")
         with pytest.raises(ValueError):
             idjc.EvolutionParams(tau=0.1, dim=10, atom="superposed")
@@ -125,9 +123,6 @@ class TestParamsValidation:
     def test_rejects_non_finite_tau(self, tau):
         with pytest.raises(ValueError):
             idjc.EvolutionParams(tau=tau, dim=10)
-
-    def test_physical_time(self):
-        assert idjc.EvolutionParams(tau=math.pi, dim=4, lam=2.0).time == math.pi / 2
 
 
 class TestExcitedPopulation:

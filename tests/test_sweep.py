@@ -1,4 +1,5 @@
-"""Batched branch sweep: equivalence with the dense per-tau path, input checks, large alpha."""
+"""Batched branch sweep and the Q grids built on it: equivalence with the dense
+per-tau path, input checks, large alpha."""
 
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idjc
-from idjc.errors import DimMismatch, TailLeak, WeightMismatch
+from idjc.errors import DimMismatch, TailLeak, TruncationTooSmall, WeightMismatch
 
 COUPLINGS = (idjc.INTENSITY_DEPENDENT, idjc.ORDINARY)
 
@@ -61,7 +62,7 @@ def test_matches_dense_per_tau_path(seed, n_parts, dim, coupling, n_taus, n_targ
     taus = rng.uniform(0.0, 3.0 * math.pi, size=n_taus)  # beyond one 2 pi period
     want = dense_reference(components, taus, coupling, targets)
     got = sweep_columns(idjc.sweep_branches(components, taus, coupling=coupling,
-                                            targets=targets))
+                                            targets=[t.amplitudes for t in targets]))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -86,7 +87,8 @@ def test_raises_where_dense_path_raises(seed, dim, coupling, fault):
     with pytest.raises(expected):
         dense_reference(components, [0.7], coupling, targets)
     with pytest.raises(expected):
-        idjc.sweep_branches(components, [0.7], coupling=coupling, targets=targets)
+        idjc.sweep_branches(components, [0.7], coupling=coupling,
+                            targets=[t.amplitudes for t in targets])
 
 
 def test_grid_spanning_several_tau_blocks():
@@ -95,8 +97,60 @@ def test_grid_spanning_several_tau_blocks():
     targets = [random_state(rng, 16, 16)]
     taus = np.linspace(0.0, 2.5 * math.pi, 3 * idjc.dynamics.SWEEP_TAU_BLOCK + 5)
     want = dense_reference(components, taus, idjc.INTENSITY_DEPENDENT, targets)
-    got = sweep_columns(idjc.sweep_branches(components, taus, targets=targets))
+    got = sweep_columns(idjc.sweep_branches(components, taus,
+                                            targets=[t.amplitudes for t in targets]))
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31), n_parts=st.integers(1, 3), dim=st.integers(3, 24),
+       n_taus=st.integers(1, 4), half_width=st.floats(0.5, 5.0),
+       shape=st.tuples(st.integers(2, 7), st.integers(2, 7)),
+       top_pop=st.sampled_from([0.0, 2e-11]))
+def test_q_sweep_matches_dense_q_grid(seed, n_parts, dim, n_taus, half_width, shape, top_pop):
+    """The guard is switched off: this compares values, the guard is tested below."""
+    rng = np.random.default_rng(seed)
+    components = random_ensemble(rng, n_parts, dim, support=dim - 2, top_pop=top_pop)
+    taus = rng.uniform(0.0, 3.0 * math.pi, size=n_taus)
+    window = (-half_width, 0.8 * half_width, -0.6 * half_width, half_width, *shape)
+    grids = idjc.q_sweep(components, taus, *window, guard_tol=math.inf)
+    rho0 = idjc.mix([(w, idjc.pure_density(psi)) for w, psi in components])
+    assert len(grids) == n_taus
+    for tau, grid in zip(taus, grids):
+        rho = idjc.evolve_field(rho0, idjc.EvolutionParams(tau=float(tau), dim=dim))
+        want = idjc.q_grid(rho, *window, guard_tol=math.inf)
+        assert (grid.xs == want.xs).all() and (grid.ys == want.ys).all()
+        assert np.max(np.abs(grid.values - want.values)) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [0.0, math.pi / 8, 0.3])
+def test_q_sweep_guard_raises_where_dense_guard_raises(tau):
+    """Levels 0..3 of dim 6, uniform: at pi/8 the flip fills the top two levels."""
+    amp = np.zeros(6)
+    amp[:4] = 0.5
+    components = [(1.0, idjc.StateVector(amp))]
+    window = (-6.0, 6.0, -6.0, 6.0, 5, 5)
+    rho = idjc.evolve_field(idjc.pure_density(components[0][1]),
+                            idjc.EvolutionParams(tau=tau, dim=6))
+    try:
+        idjc.q_grid(rho, *window)
+        dense_raises = False
+    except TruncationTooSmall:
+        dense_raises = True
+    assert dense_raises == (tau > 0.0)
+    if dense_raises:
+        with pytest.raises(TruncationTooSmall):
+            idjc.q_sweep(components, [0.0, tau], *window)
+    else:
+        idjc.q_sweep(components, [tau], *window)
+
+
+def test_q_sweep_rejects_bad_grid():
+    components = [(1.0, idjc.make_coherent(1.0))]
+    with pytest.raises(ValueError):
+        idjc.q_sweep(components, [0.1], -1.0, 1.0, -1.0, 1.0, 1, 10)
+    with pytest.raises(ValueError):
+        idjc.q_sweep(components, [0.1], 1.0, -1.0, -1.0, 1.0, 10, 10)
 
 
 class TestInputChecks:
@@ -132,7 +186,7 @@ class TestInputChecks:
             idjc.sweep_branches([], [0.1])
 
     def test_empty_grid(self, components):
-        sweep = idjc.sweep_branches(components, [], targets=[components[0][1]])
+        sweep = idjc.sweep_branches(components, [], targets=[components[0][1].amplitudes])
         assert sweep.purity_defect.shape == (0,)
         assert sweep.fidelities.shape == (1, 0)
 
@@ -148,7 +202,7 @@ def test_odd_cat_fidelity_approaches_one_with_alpha(alpha):
     dim = idjc.default_dim(alpha)
     even = idjc.make_cat(idjc.CatSpec(alpha=alpha, parity_r=1), dim)
     odd_rotated = idjc.make_cat(idjc.CatSpec(alpha=alpha * 1j, parity_r=-1), dim)
-    sweep = idjc.sweep_branches([(1.0, even)], [math.pi / 2], targets=[odd_rotated])
+    sweep = idjc.sweep_branches([(1.0, even)], [math.pi / 2], targets=[odd_rotated.amplitudes])
     fid_odd = float(sweep.fidelities[0, 0])
     assert abs(4.0 * alpha**2 * (1.0 - fid_odd) - 1.0) < 0.01
     if alpha >= 20.0:
