@@ -11,6 +11,7 @@ from .closed_form import (
     inversion_cat_closed,
     poisson_weights,
     purity_mixture_closed,
+    q_mixture_closed,
     revival_time,
 )
 from .dynamics import (
@@ -54,7 +55,7 @@ from .fock import (
     pure_density,
     purity_defect,
 )
-from .husimi import QGrid, q_at, q_grid, q_mixture_closed, q_sweep
+from .husimi import QGrid, q_at, q_grid, q_sweep
 
 __version__ = "0.1.0"
 

@@ -1,10 +1,11 @@
-"""Closed-form scalar series for special initial states.
+"""Closed-form series for special initial states: every series oracle of idjc.
 
 Everything here recomputes, from plain Poisson-weighted trigonometric sums,
 quantities the matrix engine in :mod:`idjc.dynamics` produces numerically:
 purity of the evolved two-coherent-state mixture, atomic inversion for
-coherent-superposition inputs, and the two evolved branches of a
-superposition.  None of it calls the engine, so the two code paths serve as
+coherent-superposition inputs, the two evolved branches of a superposition
+and the Husimi Q of the evolved mixture, for one point beta or an array of
+them.  None of it calls the engine, so the two code paths serve as
 independent cross checks of each other.
 
 All series evaluate alpha^n / sqrt(n!) style coefficients in log space;
@@ -43,9 +44,22 @@ def _checked_weights(alpha: float, n_terms: int) -> np.ndarray:
     tail = 1.0 - float(w.sum())
     if not tail < SERIES_TAIL_TOL:
         raise TruncationTooSmall(
-            f"Poisson tail beyond {n_terms} terms is {tail:.3e} for alpha={alpha:g}"
+            f"Poisson tail beyond {n_terms} terms is {tail:.3e} at amplitude {alpha:g}"
         )
     return w
+
+
+def _coherent_series(z, n_terms: int) -> np.ndarray:
+    """<n|z> = exp(-|z|^2/2) z^n / sqrt(n!) for n < n_terms, shape z.shape + (n_terms,).
+
+    The magnitude is taken in log space with the phase tracked separately.
+    """
+    z = np.asarray(z, dtype=complex)[..., None]
+    n = np.arange(n_terms)
+    mod = np.abs(z)
+    safe = np.where(mod > 0.0, mod, 1.0)
+    mag = np.exp(-0.5 * mod**2 + n * np.log(safe) - 0.5 * gammaln(n + 1))
+    return np.where(mod > 0.0, mag, n == 0) * np.exp(1j * n * np.angle(z))
 
 
 def purity_mixture_closed(alpha: float, tau: float, n_terms: int | None = None) -> float:
@@ -121,16 +135,10 @@ def evolved_cat_branches(spec: CatSpec, tau: float, dim: int,
     shifted up one level.  Squared norms add to one (the atom is excited or
     ground, nothing else), up to the truncation tail.
     """
-    alpha = complex(spec.alpha)
     if dim < 1:
         raise TruncationTooSmall(f"dim must be >= 1, got {dim}")
     n = np.arange(dim)
-    if alpha == 0:
-        base = np.zeros(dim, dtype=complex)
-        base[0] = 1.0
-    else:
-        log_mag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1)
-        base = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
+    base = _coherent_series(spec.alpha, dim)
     base = base * (1.0 + spec.parity_r * (-1.0) ** n) * math.sqrt(spec.norm_const)
     held = float(np.vdot(base, base).real)
     if not 1.0 - held < tail_tol:
@@ -141,6 +149,33 @@ def evolved_cat_branches(spec: CatSpec, tau: float, dim: int,
     flip = np.zeros(dim, dtype=complex)
     flip[1:] = -1j * np.sin(tau * n[1:].astype(float)) * base[:-1]
     return stay, flip
+
+
+def q_mixture_closed(alpha: float, tau: float, beta,
+                     n_terms: int | None = None) -> float | np.ndarray:
+    """Q of the evolved equal mixture of |a> and |-a>, by direct series.
+
+    beta is one phase-space point, which gives a float, or an array of them,
+    which gives an array of the same shape.  <beta| is summed against the
+    stay branch, cos(tau(n+1)) <n|+-a> on level n, and the flip branch,
+    -i sin(tau(n+1)) <n|+-a> on level n+1, of each mixture component; the
+    four squared magnitudes carry the whole value (a proper mixture has no
+    cross terms between its components).
+    """
+    alpha = float(alpha)
+    beta = np.asarray(beta, dtype=complex)
+    peak = float(np.max(np.abs(beta), initial=0.0)) * abs(alpha)
+    if n_terms is None:
+        n_terms = default_dim(math.sqrt(peak)) + 8
+    _checked_weights(math.sqrt(peak), n_terms)
+    n = np.arange(n_terms)
+    plus = _coherent_series(alpha, n_terms)
+    components = np.stack([plus, plus * (-1.0) ** n], axis=-1)
+    bra = _coherent_series(beta, n_terms + 1).conj()
+    stay = bra[..., :-1] @ (np.cos(tau * (n + 1.0))[:, None] * components)
+    flip = bra[..., 1:] @ (-1j * np.sin(tau * (n + 1.0))[:, None] * components)
+    q = np.sum(np.abs(stay) ** 2 + np.abs(flip) ** 2, axis=-1) / (2.0 * math.pi)
+    return float(q) if q.ndim == 0 else q
 
 
 def revival_time(spec: CatSpec, lam: float = 1.0) -> float:

@@ -8,6 +8,9 @@ photon numbers in the hundreds stays well inside double range.
 q_grid takes any density matrix.  q_sweep takes an evolving pure-state
 ensemble and a tau grid: Q is the fidelity sum of the stay and flip
 branches of :func:`idjc.dynamics.sweep_branches` with coherent targets.
+This module is the engine side only: the independent Q series of the
+evolved mixture, which takes one point or an array of them, lives with
+every other series oracle in :mod:`idjc.closed_form`.
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
+# Re-exported because perfbench/checks.py and perfbench/tracer.py call and wrap
+# husimi.q_mixture_closed.
+from .closed_form import q_mixture_closed  # noqa: F401
 from .dynamics import sweep_branches
 from .errors import TruncationTooSmall
-from .fock import (DensityMatrix, _coherent_amplitudes, default_dim, photon_distribution,
-                   poisson_tail)
+from .fock import DensityMatrix, _coherent_amplitudes, photon_distribution, poisson_tail
 
 #: Bound on the estimated absolute Q error from basis truncation.  The
 #: estimate is a worst-case Cauchy-Schwarz product of tail masses; states
@@ -139,47 +143,3 @@ def q_sweep(components, taus, x_min: float, x_max: float, y_min: float, y_max: f
     return [QGrid(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max,
                   nx=nx, ny=ny, values=v) for v in values]
 
-
-def _series_terms(alpha: float, beta: complex, n_terms: int) -> np.ndarray:
-    """exp(-(|b|^2 + a^2)/2) (b* a)^n / n!, log-magnitude with separate phase."""
-    n = np.arange(n_terms)
-    x = beta.conjugate() * alpha
-    prefactor = -0.5 * (abs(beta) ** 2 + abs(alpha) ** 2)
-    if x == 0:
-        terms = np.zeros(n_terms, dtype=complex)
-        terms[0] = math.exp(prefactor)
-        return terms
-    log_mag = prefactor + n * math.log(abs(x)) - gammaln(n + 1)
-    return np.exp(log_mag) * np.exp(1j * n * np.angle(x))
-
-
-def q_mixture_closed(alpha: float, tau: float, beta,
-                     n_terms: int | None = None) -> float:
-    """Q of the evolved equal mixture of |a> and |-a>, by direct series.
-
-    Sums <beta| against the stay and flip branches of each mixture
-    component; the four squared magnitudes carry the whole value (a proper
-    mixture has no cross terms between its components).  Independent of the
-    matrix engine.
-    """
-    alpha = float(alpha)
-    beta = complex(beta)
-    if n_terms is None:
-        n_terms = default_dim(math.sqrt(abs(beta.conjugate() * alpha))) + 8
-    peak = abs(beta.conjugate() * alpha)
-    tail = poisson_tail(peak, n_terms)
-    if not tail < 1e-12:
-        raise TruncationTooSmall(
-            f"series needs more than {n_terms} terms for |alpha*beta| = {peak:g}"
-        )
-    n = np.arange(n_terms)
-    base = _series_terms(alpha, beta, n_terms)
-    alt = (-1.0) ** n
-    stay_weight = np.cos(tau * (n + 1.0))
-    flip_weight = -1j * beta.conjugate() * np.sin(tau * (n + 1.0)) / np.sqrt(n + 1.0)
-    total = 0.0
-    for sign in (None, alt):
-        terms = base if sign is None else base * sign
-        total += abs(np.sum(terms * stay_weight)) ** 2
-        total += abs(np.sum(terms * flip_weight)) ** 2
-    return total / (2.0 * math.pi)

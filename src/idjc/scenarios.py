@@ -122,8 +122,8 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         errors.append(f"lam: coupling constant must be finite and positive, got {config.lam!r}")
     if not (_finite(config.tau_max) and config.tau_max > 0.0):
         errors.append(f"tau_max: must be finite and positive, got {config.tau_max!r}")
-    if config.tau_steps < 2:
-        errors.append(f"tau_steps: need at least 2 grid points, got {config.tau_steps!r}")
+    if not (isinstance(config.tau_steps, int) and config.tau_steps >= 2):
+        errors.append(f"tau_steps: must be an integer >= 2, got {config.tau_steps!r}")
     if config.dim != "auto":
         if not isinstance(config.dim, int) or config.dim < 2:
             errors.append(f"dim: must be \"auto\" or an integer >= 2, got {config.dim!r}")
@@ -269,10 +269,7 @@ def _qfunc_self_check(config, tau, x_col, y_col, q_col) -> None:
     # closed-form agreement on a deterministic subsample (full grids are large)
     stride = max(1, len(q_col) // 400)
     idx = np.arange(0, len(q_col), stride)
-    closed = np.array([
-        husimi.q_mixture_closed(config.alpha, tau, complex(x_col[i], y_col[i]))
-        for i in idx
-    ])
+    closed = closed_form.q_mixture_closed(config.alpha, tau, x_col[idx] + 1j * y_col[idx])
     _self_check_columns("q", q_col[idx], "q_closed", closed)
 
 

@@ -100,7 +100,7 @@ QFUNC_ARGS = {"--alpha": "2", "--x-min": "-4", "--x-max": "4", "--y-min": "-4",
 
 
 class TestNonFiniteInput:
-    """Every non-finite float is a configuration error; nothing is written."""
+    """Every non-finite float or null integer is a configuration error; nothing is written."""
 
     def run_qfunc(self, tmp_path, flag, value):
         args = dict(QFUNC_ARGS, **{flag: value})
@@ -134,6 +134,13 @@ class TestNonFiniteInput:
     def test_tau_values(self, tmp_path, value):
         assert self.run_qfunc(tmp_path, "--tau-values", value) == 2
         assert list(tmp_path.iterdir()) == []
+
+    def test_null_tau_steps(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "purity-mixture", "tau_steps": None,
+                                   "output_path": str(tmp_path / "p.csv")}))
+        assert run_cli("run", "--config", str(cfg)) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 class TestConsoleEntryPoint:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idjc
 from idjc.errors import InvalidCat, TruncationTooSmall
@@ -160,6 +162,46 @@ class TestEvolvedCatBranches:
     def test_truncation_error(self):
         with pytest.raises(TruncationTooSmall):
             idjc.evolved_cat_branches(idjc.CatSpec(alpha=5.0, parity_r=1), 1.0, 30)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alpha=st.floats(min_value=0.5, max_value=8.0),
+       tau=st.floats(min_value=0.0, max_value=2 * math.pi),
+       others=st.lists(st.complex_numbers(max_magnitude=9.0, allow_nan=False,
+                                          allow_infinity=False), max_size=39),
+       zero_at=st.integers(min_value=0, max_value=39))
+def test_q_mixture_closed_array_equals_scalar_calls(alpha, tau, others, zero_at):
+    others.insert(zero_at % (len(others) + 1), 0j)
+    betas = np.array(others)
+    scalars = [idjc.q_mixture_closed(alpha, tau, beta) for beta in betas]
+    assert all(type(q) is float for q in scalars)
+    together = idjc.q_mixture_closed(alpha, tau, betas)
+    assert together.shape == betas.shape
+    assert np.max(np.abs(together - scalars)) <= 1e-13
+    with pytest.raises(TruncationTooSmall):
+        idjc.q_mixture_closed(alpha, tau, np.append(betas, 9.0), n_terms=10)
+
+
+#: Engine functions the oracles must never reach, whichever module holds the name.
+ENGINE_NAMES = ("poisson_tail", "_coherent_amplitudes", "sweep_branches")
+
+
+def test_oracles_run_without_the_engine(monkeypatch):
+    def engine(*args, **kwargs):
+        raise AssertionError("a closed form called the engine")
+
+    for module in (idjc.fock, idjc.dynamics, idjc.husimi, idjc.closed_form):
+        for name in ENGINE_NAMES:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, engine)
+    assert 0.0 < idjc.purity_mixture_closed(ALPHA, 1.0) < 1.0
+    assert -1.0 < idjc.inversion_cat_closed(ALPHA, 1, 1.0) < 1.0
+    stay, flip = idjc.evolved_cat_branches(idjc.CatSpec(alpha=ALPHA, parity_r=1), 1.0, DIM)
+    assert abs(np.vdot(stay, stay).real + np.vdot(flip, flip).real - 1.0) < 1e-10
+    q_closed = idjc.closed_form.q_mixture_closed
+    assert type(q_closed(ALPHA, 1.0, 3.0 + 1.0j)) is float
+    assert q_closed(ALPHA, 1.0, np.array([[0.0, 3.0 + 1.0j]])).shape == (1, 2)
+    assert idjc.husimi.q_mixture_closed is q_closed
 
 
 class TestRevivalTime:
