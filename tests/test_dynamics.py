@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idjc
 from idjc.errors import DimMismatch, TailLeak
@@ -248,3 +250,54 @@ class TestGroundAtom:
         assert np.trace(full).real == pytest.approx(1.0, abs=1e-12)
         defect = 1.0 - np.vdot(full, full).real
         assert defect == pytest.approx(0.5, abs=1e-9)
+
+
+def explicit_kraus(p: idjc.EvolutionParams) -> tuple[np.ndarray, np.ndarray]:
+    """Stay and flip Kraus operators as dim x dim matrices, built from their entries.
+
+    The flip operator maps |n> to kraus_shift[n] |n+1> for an excited atom
+    (sub-diagonal) and to kraus_shift[n] |n-1> for a ground atom
+    (super-diagonal).
+    """
+    stay = np.diag(idjc.kraus_diag(p)).astype(complex)
+    shift = idjc.kraus_shift(p)
+    if p.atom == idjc.ATOM_EXCITED:
+        flip = np.diag(shift[:-1], k=-1)
+    else:
+        flip = np.diag(shift[1:], k=1)
+    return stay, flip
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       dim=st.integers(min_value=6, max_value=40),
+       tau=st.floats(min_value=0.0, max_value=4 * math.pi),
+       coupling=st.sampled_from([idjc.INTENSITY_DEPENDENT, idjc.ORDINARY]),
+       atom=st.sampled_from([idjc.ATOM_EXCITED, idjc.ATOM_GROUND]))
+def test_dense_map_equals_explicit_kraus_products(seed, dim, tau, coupling, atom):
+    """evolve_field, joint_state_blocks and excited_population against K rho K^dag.
+
+    A ground atom has no tail to keep empty, so its states fill every level.
+    """
+    support = dim if atom == idjc.ATOM_GROUND else None
+    rho0 = random_density(np.random.default_rng(seed), dim, support)
+    p = params(tau, dim=dim, coupling=coupling, atom=atom)
+    stay, flip = explicit_kraus(p)
+    el = rho0.elements
+    kept = stay @ el @ stay.conj().T
+    flipped = flip @ el @ flip.conj().T
+    coherence = flip @ el @ stay.conj().T
+
+    out = idjc.evolve_field(rho0, p)
+    assert np.max(np.abs(out.elements - (kept + flipped))) <= 1e-14
+
+    blocks = idjc.joint_state_blocks(rho0, p)
+    if atom == idjc.ATOM_EXCITED:
+        expected = {"ee": kept, "gg": flipped, "ge": coherence, "eg": coherence.conj().T}
+    else:
+        expected = {"gg": kept, "ee": flipped, "eg": coherence, "ge": coherence.conj().T}
+    for name, block in expected.items():
+        assert np.max(np.abs(getattr(blocks, name) - block)) <= 1e-14, name
+
+    p_exc = idjc.excited_population(rho0, p)
+    assert p_exc == pytest.approx(np.trace(expected["ee"]).real, abs=1e-14)
