@@ -125,15 +125,15 @@ def inversion_cat_closed(alpha: float, parity_r: int, tau: float) -> float:
     return (main + cross) / bracket
 
 
-def evolved_cat_branches(spec: CatSpec, tau: float, dim: int,
-                         tail_tol: float = SERIES_TAIL_TOL):
+def evolved_cat_branches(spec: CatSpec, tau: float, dim: int):
     """Unnormalized stay and flip branches of an evolved superposition.
 
     Returns (stay, flip) as complex arrays of length dim: stay[n] is the
     atom-still-excited branch, cos(tau*(n+1)) on the initial amplitudes;
     flip[n] is the photon-added branch, -i sin(tau*n) on the amplitudes
     shifted up one level.  Squared norms add to one (the atom is excited or
-    ground, nothing else), up to the truncation tail.
+    ground, nothing else), up to the truncation tail, which must stay below
+    SERIES_TAIL_TOL.
     """
     if dim < 1:
         raise TruncationTooSmall(f"dim must be >= 1, got {dim}")
@@ -141,7 +141,7 @@ def evolved_cat_branches(spec: CatSpec, tau: float, dim: int,
     base = _coherent_series(spec.alpha, dim)
     base = base * (1.0 + spec.parity_r * (-1.0) ** n) * math.sqrt(spec.norm_const)
     held = float(np.vdot(base, base).real)
-    if not 1.0 - held < tail_tol:
+    if not 1.0 - held < SERIES_TAIL_TOL:
         raise TruncationTooSmall(
             f"superposition holds only {held!r} of its norm in dim={dim}"
         )

@@ -14,16 +14,20 @@ statistics do not depend on them, and phase-space pictures then stay put
 instead of rigidly rotating at the cavity frequency.  The cavity frequency
 therefore appears nowhere in this module.
 
-Two paths evaluate the map.  The per-call functions (evolve_field,
-excited_population, atomic_inversion, joint_state_blocks) take one tau and
-a general, possibly full-rank density matrix, and build the evolved matrix
-densely.  sweep_branches covers a whole tau grid for an ensemble of pure
-states with the atom excited: each component v evolves into exactly two
-field branches, stay cos(phi_n) v_n and flip -i sin(phi_(n-1)) v_(n-1), so
-purity, excited population and fidelities are sums of branch overlaps.
-Every overlap is a real (taus x dim) trigonometric block times a fixed
-complex dim-vector, evaluated over fixed-size tau blocks; no evolved matrix
-is ever built, and the temporaries do not grow with the number of taus.
+Two paths evaluate the map; phi_n = tau * (pair frequency of level n).
+The per-call functions (evolve_field, excited_population, atomic_inversion,
+joint_state_blocks) take one tau and a general, possibly full-rank density
+matrix, and build the evolved matrix densely as two real weight matrices
+applied to it: the stay branch weights rho[m, n] by cos(phi_m) cos(phi_n),
+and the flip branch moves rho one level, weighted by sin(phi_m) sin(phi_n)
+because (-i sin)(i sin) is real.  sweep_branches covers a whole tau grid
+for an ensemble of pure states with the atom excited: each component v
+evolves into exactly two field branches, stay cos(phi_n) v_n and flip
+-i sin(phi_(n-1)) v_(n-1), so purity, excited population and fidelities
+are sums of branch overlaps.  Every overlap is a real (taus x dim)
+trigonometric block times a fixed complex dim-vector, evaluated over
+fixed-size tau blocks; no evolved matrix is ever built, and the
+temporaries do not grow with the number of taus.
 With coherent states as targets the fidelity sum is the Husimi Q of the
 evolved ensemble, which is how :func:`idjc.husimi.q_sweep` builds Q grids.
 """
@@ -43,7 +47,7 @@ ORDINARY = "ordinary"
 ATOM_EXCITED = "excited"
 ATOM_GROUND = "ground"
 
-#: Default bound on initial population in the top two Fock levels; the
+#: Bound on initial population in the top two Fock levels; the
 #: photon-adding branch shifts population up one level per application, so
 #: anything sitting there would leak out of the truncated basis.
 DEFAULT_TAIL_LEAK_TOL = 1e-10
@@ -115,76 +119,67 @@ def kraus_shift(params: EvolutionParams) -> np.ndarray:
     return -1j * np.sin(_pair_phases(params))
 
 
-def _shift_direction(params: EvolutionParams) -> int:
-    return +1 if params.atom == ATOM_EXCITED else -1
+def _branch_weights(params: EvolutionParams) -> tuple[np.ndarray, np.ndarray, slice, slice]:
+    """cos and sin of the pair phases, and the flip branch's source and target levels.
 
-
-def _flip_branch(el: np.ndarray, shift_amp: np.ndarray, direction: int) -> np.ndarray:
-    """K rho K^dag for the shift branch, K|n> = shift_amp[n] |n+direction>."""
-    out = np.zeros_like(el)
-    if direction == +1:
-        b = shift_amp[:-1]
-        out[1:, 1:] = (b[:, None] * el[:-1, :-1]) * b.conj()[None, :]
+    The flip branch moves rho[src, src] to [dst, dst]: up one level for an
+    excited atom (the top level's flip leaves the basis), down one for a
+    ground atom.
+    """
+    phases = _pair_phases(params)
+    if params.atom == ATOM_EXCITED:
+        src, dst = slice(None, -1), slice(1, None)
     else:
-        b = shift_amp[1:]
-        out[:-1, :-1] = (b[:, None] * el[1:, 1:]) * b.conj()[None, :]
-    return out
+        src, dst = slice(1, None), slice(None, -1)
+    return np.cos(phases), np.sin(phases), src, dst
 
 
-def _check_tail(top: float, tail_tol: float) -> None:
+def _check_tail(top: float) -> None:
     """Reject an excited-atom input with population top in its top two levels."""
-    if not top < tail_tol:
+    if not top < DEFAULT_TAIL_LEAK_TOL:
         raise TailLeak(
             f"population {top:.3e} in the top two Fock levels exceeds "
-            f"{tail_tol:.1e}; increase dim"
+            f"{DEFAULT_TAIL_LEAK_TOL:.1e}; increase dim"
         )
 
 
-def _check_inputs(rho0: DensityMatrix, params: EvolutionParams, tail_tol: float) -> None:
+def _check_inputs(rho0: DensityMatrix, params: EvolutionParams) -> None:
     if rho0.dim != params.dim:
         raise DimMismatch(f"rho dim {rho0.dim} != params dim {params.dim}")
     if params.atom == ATOM_EXCITED:
-        _check_tail(float(np.real(rho0.elements[-1, -1] + rho0.elements[-2, -2])),
-                    tail_tol)
+        _check_tail(float(np.real(rho0.elements[-1, -1] + rho0.elements[-2, -2])))
 
 
-def evolve_field(rho0: DensityMatrix, params: EvolutionParams,
-                 tail_tol: float = DEFAULT_TAIL_LEAK_TOL) -> DensityMatrix:
+def evolve_field(rho0: DensityMatrix, params: EvolutionParams) -> DensityMatrix:
     """Reduced field state after interaction time tau.
 
-    Applies the two Kraus branches; the map is trace preserving as long as
-    the initial state keeps the top of the truncated basis empty, which is
-    enforced against tail_tol.
+    Applies the two branches as real weight matrices; the map is trace
+    preserving as long as the initial state keeps the top of the truncated
+    basis empty, which is enforced against DEFAULT_TAIL_LEAK_TOL.
     """
-    _check_inputs(rho0, params, tail_tol)
-    stay = kraus_diag(params)
-    flip = kraus_shift(params)
+    _check_inputs(rho0, params)
+    cos, sin, src, dst = _branch_weights(params)
     el = rho0.elements
-    out = (stay[:, None] * el) * stay[None, :]
-    out += _flip_branch(el, flip, _shift_direction(params))
+    out = np.outer(cos, cos) * el
+    out[dst, dst] += np.outer(sin[src], sin[src]) * el[src, src]
     return DensityMatrix(out)
 
 
-def excited_population(rho0: DensityMatrix, params: EvolutionParams,
-                       tail_tol: float = DEFAULT_TAIL_LEAK_TOL) -> float:
+def excited_population(rho0: DensityMatrix, params: EvolutionParams) -> float:
     """Probability of finding the atom excited at time tau.
 
     Only the photon-number populations of rho0 enter (both branches are
     diagonal-to-diagonal in that respect).
     """
-    _check_inputs(rho0, params, tail_tol)
-    pops = np.real(np.diag(rho0.elements))
-    if params.atom == ATOM_EXCITED:
-        weights = kraus_diag(params) ** 2
-    else:
-        weights = np.abs(kraus_shift(params)) ** 2
-    return float(np.sum(weights * pops))
+    _check_inputs(rho0, params)
+    cos, sin, _, _ = _branch_weights(params)
+    weights = cos**2 if params.atom == ATOM_EXCITED else sin**2
+    return float(np.sum(weights * np.real(np.diag(rho0.elements))))
 
 
-def atomic_inversion(rho0: DensityMatrix, params: EvolutionParams,
-                     tail_tol: float = DEFAULT_TAIL_LEAK_TOL) -> float:
+def atomic_inversion(rho0: DensityMatrix, params: EvolutionParams) -> float:
     """Population inversion <sigma_z> = 2 P_excited - 1."""
-    return 2.0 * excited_population(rho0, params, tail_tol) - 1.0
+    return 2.0 * excited_population(rho0, params) - 1.0
 
 
 @dataclass(frozen=True)
@@ -206,28 +201,26 @@ class JointBlocks:
         return np.block([[self.ee, self.eg], [self.ge, self.gg]])
 
 
-def joint_state_blocks(rho0: DensityMatrix, params: EvolutionParams,
-                       tail_tol: float = DEFAULT_TAIL_LEAK_TOL) -> JointBlocks:
+def joint_state_blocks(rho0: DensityMatrix, params: EvolutionParams) -> JointBlocks:
     """All four atomic blocks of the evolved joint state.
 
     The joint evolution is unitary, so the purity of the assembled matrix
     equals that of rho0 at every tau; this is the main consistency handle
-    on the reduced map.
+    on the reduced map.  The stay block belongs to the initial atomic state
+    and the flip block to the other one; the coherence between them is the
+    flip branch times the stay branch, -i sin_m cos_n.
     """
-    _check_inputs(rho0, params, tail_tol)
-    stay = kraus_diag(params)
-    flip = kraus_shift(params)
+    _check_inputs(rho0, params)
+    cos, sin, src, dst = _branch_weights(params)
     el = rho0.elements
-    diag_block = (stay[:, None] * el) * stay[None, :]
+    stay = np.outer(cos, cos) * el
+    flip = np.zeros_like(el)
+    flip[dst, dst] = np.outer(sin[src], sin[src]) * el[src, src]
+    coherence = np.zeros_like(el)
+    coherence[dst, :] = -1j * np.outer(sin[src], cos) * el[src, :]
     if params.atom == ATOM_EXCITED:
-        gg = _flip_branch(el, flip, +1)
-        ge = np.zeros_like(el)
-        ge[1:, :] = (flip[:-1, None] * el[:-1, :]) * stay[None, :]
-        return JointBlocks(ee=diag_block, eg=ge.conj().T, ge=ge, gg=gg)
-    ee = _flip_branch(el, flip, -1)
-    eg = np.zeros_like(el)
-    eg[:-1, :] = (flip[1:, None] * el[1:, :]) * stay[None, :]
-    return JointBlocks(ee=ee, eg=eg, ge=eg.conj().T, gg=diag_block)
+        return JointBlocks(ee=stay, eg=coherence.conj().T, ge=coherence, gg=flip)
+    return JointBlocks(ee=flip, eg=coherence, ge=coherence.conj().T, gg=stay)
 
 
 @dataclass(frozen=True)
@@ -271,7 +264,7 @@ def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
     sum_k w_k |v_k><v_k| with the atom excited; weights follow the rule of
     :func:`idjc.fock.mix`.  targets: amplitude rows of the states to take
     fidelities with.  Inputs are checked once per call by the rules of
-    EvolutionParams and of evolve_field with its default tail tolerance.
+    EvolutionParams and of evolve_field.
 
     Component k evolves into the stay branch a_k[n] = cos(phi_n) v_k[n] and
     the flip branch b_k[n] = -i sin(phi_(n-1)) v_k[n-1]; the top level's
@@ -290,8 +283,7 @@ def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
         raise ValueError(f"taus must be one-dimensional, got shape {taus.shape}")
     for tau in (taus.min(), taus.max()) if taus.size else (0.0,):
         EvolutionParams(tau=float(tau), dim=dim, coupling=coupling)
-    _check_tail(float(weights @ np.sum(np.abs(vecs[:, -2:]) ** 2, axis=1)),
-                DEFAULT_TAIL_LEAK_TOL)
+    _check_tail(float(weights @ np.sum(np.abs(vecs[:, -2:]) ** 2, axis=1)))
     goals = np.array(targets, dtype=complex)
     if goals.size and goals.shape[1:] != (dim,):
         raise DimMismatch(f"target rows of shape {goals.shape[1:]} != ensemble dim {dim}")

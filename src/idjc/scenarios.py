@@ -69,7 +69,10 @@ def config_from_mapping(raw) -> ScenarioConfig:
     """Build a ScenarioConfig from a flat mapping (parsed JSON or CLI overrides).
 
     Unknown keys are errors: a misspelled key would otherwise silently fall
-    back to a default and corrupt a reproduction run.
+    back to a default and corrupt a reproduction run.  For the same reason a
+    boolean is no value of any field (true would read as 1), and tau_values
+    must be a list, not a string or an object (whose characters or keys
+    would read as taus).
     """
     errors = [f"unknown config key: {k}" for k in sorted(set(raw) - set(_FIELD_NAMES))]
     if errors:
@@ -77,6 +80,8 @@ def config_from_mapping(raw) -> ScenarioConfig:
     kwargs = {}
     for key, value in raw.items():
         try:
+            if isinstance(value, bool):
+                raise TypeError(value)
             if value is None:
                 pass
             elif key in _INT_FIELDS or (key == "dim" and value != "auto"):
@@ -86,6 +91,8 @@ def config_from_mapping(raw) -> ScenarioConfig:
             elif key in _FLOAT_FIELDS:
                 value = float(value)
             elif key == "tau_values":
+                if isinstance(value, (str, dict)) or any(isinstance(t, bool) for t in value):
+                    raise TypeError(value)
                 value = tuple(float(t) for t in value)
             elif key in ("scenario", "output_path", "output_format"):
                 value = str(value)
@@ -171,16 +178,11 @@ def _coherent_mixture(alpha: float, dim: int) -> list[tuple[float, fock.StateVec
     return [(0.5, fock.make_coherent(alpha, dim)), (0.5, fock.make_coherent(-alpha, dim))]
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _write_csv(path: Path, header, columns) -> None:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
+    cells = [map("{:.17g}".format, np.asarray(col, dtype=float).tolist()) for col in columns]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _write_json(path: Path, header, columns, metadata) -> None:

@@ -143,6 +143,34 @@ class TestNonFiniteInput:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+class TestMisreadConfigValues:
+    """A config value that would silently read as another one is an error naming its field."""
+
+    def run_config(self, tmp_path, capsys, **values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(QFUNC_CONFIG, output_path=str(tmp_path / "q.csv"),
+                                       **values)))
+        code = run_cli("run", "--config", str(cfg))
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["12", {"0.5": 1}, [True, 0.5]])
+    def test_tau_values(self, tmp_path, capsys, value):
+        code, err = self.run_config(tmp_path, capsys, tau_values=value)
+        assert code == 2
+        assert "tau_values:" in err
+
+    @pytest.mark.parametrize("key", ["alpha", "parity_r", "lam", "x_min"])
+    def test_boolean_number(self, tmp_path, capsys, key):
+        code, err = self.run_config(tmp_path, capsys, **{key: True})
+        assert code == 2
+        assert f"{key}:" in err
+
+
+QFUNC_CONFIG = {"scenario": "qfunc-mixture", "alpha": 2.0, "x_min": -4.0, "x_max": 4.0,
+                "y_min": -4.0, "y_max": 4.0, "nx": 5, "ny": 5, "tau_values": [0.0, 0.5]}
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "cli.csv"
