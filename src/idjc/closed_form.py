@@ -65,34 +65,27 @@ def _coherent_series(z, n_terms: int) -> np.ndarray:
 def purity_mixture_closed(alpha: float, tau: float, n_terms: int | None = None) -> float:
     """Purity defect 1 - Tr[rho^2] of the evolved equal mixture of |a> and |-a>.
 
-    The squared trace decomposes into overlaps among the four evolved
-    branches (stay/flip for each mixture component): two diagonal-branch
-    sums, two flip-branch sums and two cross sums, each in a plus variant
-    and an alternating-sign variant from the <a|..|-a> cross overlaps.
-    alpha must be real and nonzero (the flip-branch weights carry 1/alpha
-    factors from reindexing the shifted series).
+    With r_n = |<n|a>| each evolved component has a stay branch r_n c_n on
+    level n and a flip branch r_n s_n on level n+1, c_n = cos(tau(n+1)) and
+    s_n = sin(tau(n+1)); the |-a> component carries an extra (-1)^n.  The
+    squared trace is built from the branch overlaps on one level index:
+    stay with stay, flip with flip (the top level's flip leaves the
+    truncation and is dropped) and the stay branch on level n with the flip
+    branch arriving there from n-1, each summed plain and with (-1)^n.
     """
     alpha = float(alpha)
-    if alpha == 0.0:
-        raise ValueError("mixture purity series needs alpha != 0")
     if n_terms is None:
         n_terms = default_dim(alpha)
-    weights = _checked_weights(alpha, n_terms)
-    n = np.arange(n_terms, dtype=float)
+    amp = np.sqrt(_checked_weights(alpha, n_terms))
     alt = (-1.0) ** np.arange(n_terms)
-    cos_up = np.cos(tau * (n + 1.0))
-    sin_dn = np.sin(tau * n)
+    phase = tau * np.arange(1.0, n_terms + 1.0)
+    stay = amp * np.cos(phase)
+    flip = (amp * np.sin(phase))[:-1]
+    cross = stay[1:] * flip
 
-    w_stay = cos_up**2
-    w_flip = (n / alpha**2) * sin_dn**2
-    w_cross = (np.sqrt(n) / alpha) * cos_up * sin_dn
-
-    stay_p = float(np.sum(weights * w_stay))
-    stay_m = float(np.sum(weights * alt * w_stay))
-    flip_p = float(np.sum(weights * w_flip))
-    flip_m = float(np.sum(weights * -alt * w_flip))
-    cross_p = float(np.sum(weights * w_cross))
-    cross_m = float(np.sum(weights * -alt * w_cross))
+    stay_p, stay_m = float(stay @ stay), float(stay @ (alt * stay))
+    flip_p, flip_m = float(flip @ flip), float(flip @ (alt[:-1] * flip))
+    cross_p, cross_m = float(np.sum(cross)), float(cross @ alt[:-1])
 
     trace_sq = 0.5 * (stay_p**2 + stay_m**2 + flip_p**2 + flip_m**2)
     trace_sq += cross_p**2 + cross_m**2

@@ -220,9 +220,7 @@ def _run_purity_mixture(config, dim, self_check):
     taus = _tau_grid(config)
     sweep = dynamics.sweep_branches(_coherent_mixture(config.alpha, dim), taus)
     numeric = sweep.purity_defect
-    closed = np.array([
-        closed_form.purity_mixture_closed(config.alpha, t, dim) for t in taus
-    ])
+    closed = np.array([closed_form.purity_mixture_closed(config.alpha, t) for t in taus])
     if self_check:
         _self_check_columns("zeta_numeric", numeric, "zeta_closed", closed)
     header = ("tau", "zeta_numeric", "zeta_closed")
@@ -303,9 +301,7 @@ def _run_ordinary_contrast(config, dim, self_check):
     zeta_ord = dynamics.sweep_branches(mixture, taus,
                                        coupling=dynamics.ORDINARY).purity_defect
     if self_check:
-        closed = np.array([
-            closed_form.purity_mixture_closed(config.alpha, t, dim) for t in taus
-        ])
+        closed = np.array([closed_form.purity_mixture_closed(config.alpha, t) for t in taus])
         _self_check_columns("zeta_ID", zeta_id, "zeta_closed", closed)
     header = ("tau", "zeta_ID", "zeta_ordinary")
     return [(header, (taus, zeta_id, zeta_ord), None)]

@@ -1,6 +1,7 @@
 """CLI flag handling, config files and exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -48,6 +49,15 @@ class TestRunOk:
         assert run_cli("run", "--scenario", "purity-mixture", "--alpha", "4",
                        "--tau-steps", "25", "--self-check",
                        "--out", str(tmp_path / "sc.csv")) == 0
+
+    def test_vacuum_limit_alpha(self, tmp_path):
+        """alpha^2 underflows here; the closed-form column must stay finite."""
+        out = tmp_path / "p.csv"
+        assert run_cli("run", "--scenario", "purity-mixture", "--alpha", "1e-160",
+                       "--tau-steps", "5", "--self-check", "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 5
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "w.json"
@@ -169,6 +179,29 @@ class TestMisreadConfigValues:
 
 QFUNC_CONFIG = {"scenario": "qfunc-mixture", "alpha": 2.0, "x_min": -4.0, "x_max": 4.0,
                 "y_min": -4.0, "y_max": 4.0, "nx": 5, "ny": 5, "tau_values": [0.0, 0.5]}
+
+
+@pytest.mark.parametrize("values,field", [
+    ({"parity_r": 2}, "parity_r:"),
+    ({"dim": 1}, "dim:"),
+    ({"output_format": "xml"}, "output_format:"),
+    ({"output_path": ""}, "output_path:"),
+    ({"tau_values": []}, "tau_values:"),
+    ({"nx": 1}, "nx and ny"),
+    ({"x_max": -4.0}, "x_max > x_min"),
+    ({"nx": 2.5}, "nx:"),
+    ([1, 2], "config file"),
+], ids=["parity_r", "dim", "output_format", "output_path", "tau_values", "nx", "x_max",
+        "fractional_nx", "not_an_object"])
+def test_config_file_error(tmp_path, capsys, values, field):
+    """Each invalid config file exits 2, names what is wrong and writes nothing."""
+    cfg = tmp_path / "cfg.json"
+    if isinstance(values, dict):
+        values = {**QFUNC_CONFIG, "output_path": str(tmp_path / "q.csv"), **values}
+    cfg.write_text(json.dumps(values))
+    assert run_cli("run", "--config", str(cfg)) == 2
+    assert field in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 class TestConsoleEntryPoint:

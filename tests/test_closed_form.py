@@ -49,9 +49,12 @@ class TestPurityMixtureClosed:
         with pytest.raises(TruncationTooSmall):
             idjc.purity_mixture_closed(ALPHA, 1.0, n_terms=30)
 
-    def test_rejects_zero_alpha(self):
-        with pytest.raises(ValueError):
-            idjc.purity_mixture_closed(0.0, 1.0, 10)
+    @pytest.mark.parametrize("alpha", [0.0, 1e-160])
+    def test_vacuum_limit(self, alpha):
+        """|e, 0> splits into cos(tau)|e, 0> - i sin(tau)|g, 1>: zeta = sin^2(2 tau) / 2."""
+        for tau in np.linspace(0.0, 2.0 * math.pi, 61):
+            zeta = idjc.purity_mixture_closed(alpha, tau)
+            assert abs(zeta - 0.5 * math.sin(2.0 * tau) ** 2) < 1e-15
 
 
 class TestInversionCatClosed:

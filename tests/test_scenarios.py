@@ -1,13 +1,15 @@
 """Scenario configuration, outputs, self-check and determinism."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from idjc import dynamics, husimi
-from idjc.errors import ConfigError
+from idjc import closed_form, dynamics, husimi
+from idjc.cli import main
+from idjc.errors import ConfigError, SelfCheckFailed
 from idjc.scenarios import (
     ScenarioConfig,
     config_from_mapping,
@@ -199,6 +201,39 @@ def test_scenarios_avoid_the_dense_path(tmp_path, monkeypatch, scenario):
     cfg = base_config(tmp_path, scenario, alpha=3.0, tau_steps=21, x_min=-5.0, x_max=5.0,
                       y_min=-5.0, y_max=5.0, nx=9, ny=7, tau_values=(0.0, 0.9))
     assert run_scenario(cfg, self_check=True)
+
+
+def shifted_by_1e8(func):
+    return lambda *args, **kwargs: func(*args, **kwargs) + 1e-8
+
+
+def above_one_over_pi(q_sweep):
+    return lambda *args, **kwargs: [dataclasses.replace(grid, values=grid.values + 1.0)
+                                    for grid in q_sweep(*args, **kwargs)]
+
+
+@pytest.mark.parametrize("scenario,module,name,fault,message", [
+    ("purity-mixture", closed_form, "purity_mixture_closed", shifted_by_1e8,
+     "zeta_numeric and zeta_closed disagree"),
+    ("qfunc-mixture", closed_form, "q_mixture_closed", shifted_by_1e8,
+     "q and q_closed disagree"),
+    ("qfunc-mixture", husimi, "q_sweep", above_one_over_pi, "Q out of bounds"),
+], ids=["purity", "q-agreement", "q-bound"])
+def test_failed_self_check_writes_nothing(tmp_path, monkeypatch, scenario, module, name,
+                                          fault, message):
+    """A closed form off by 1e-8 or a Q above 1/pi stops the run before any file is written."""
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    flags = {"alpha": 3.0, "tau_steps": 21, "x_min": -5.0, "x_max": 5.0, "y_min": -5.0,
+             "y_max": 5.0, "nx": 9, "ny": 7}
+    cfg = base_config(tmp_path, scenario, tau_values=(0.0, 0.9), **flags)
+    with pytest.raises(SelfCheckFailed) as failure:
+        run_scenario(cfg, self_check=True)
+    assert message in str(failure.value)
+    assert list(tmp_path.iterdir()) == []
+    args = [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+    assert main(["run", "--scenario", scenario, "--tau-values", "0,0.9", "--self-check",
+                 "--out", cfg.output_path, *args]) == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

@@ -191,7 +191,23 @@ class TestInputChecks:
         assert sweep.fidelities.shape == (1, 0)
 
 
-@pytest.mark.parametrize("alpha", [10.0, 20.0, 30.0])
+@pytest.mark.parametrize("alpha", [5.0, 10.0, 30.0, 100.0])
+def test_purity_dip_follows_large_alpha_law(alpha):
+    """zeta(pi/2) = 1/(8 alpha^2) to leading order, from the sweep and from the series.
+
+    The mixture purifies only in the limit: at alpha = 5 the dip is 1.6% above
+    the law and at alpha = 100 0.004% above it.
+    """
+    dim = idjc.default_dim(alpha)
+    mixture = [(0.5, idjc.make_coherent(alpha, dim)), (0.5, idjc.make_coherent(-alpha, dim))]
+    numeric = float(idjc.sweep_branches(mixture, [math.pi / 2]).purity_defect[0])
+    closed = idjc.purity_mixture_closed(alpha, math.pi / 2)
+    assert abs(numeric - closed) < 1e-9
+    for zeta in (numeric, closed):
+        assert abs(8.0 * alpha**2 * zeta - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("alpha", [10.0, 20.0, 30.0, 100.0])
 def test_odd_cat_fidelity_approaches_one_with_alpha(alpha):
     """F_odd(pi/2) = 1 - 1/(4 alpha^2) to leading order.
 
