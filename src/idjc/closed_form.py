@@ -103,19 +103,53 @@ def inversion_cat_closed(alpha: float, parity_r: int, tau: float) -> float:
 
     The denominator enters to the first power (it is the squared norm of the
     unnormalized superposition); that is what makes W(0) = +1 exactly, as the
-    excited initial atom requires.
+    excited initial atom requires.  For r = -1 numerator and denominator
+    both vanish like a^2, which :func:`_odd_cat_inversion` divides out.
     """
     if parity_r not in (-1, 0, 1):
         raise InvalidCat(f"parity_r must be -1, 0 or +1, got {parity_r!r}")
-    a_sq = float(alpha) ** 2
-    if parity_r == -1 and a_sq == 0.0:
+    alpha = float(alpha)
+    if parity_r == -1 and alpha == 0.0:
         raise InvalidCat("odd superposition with alpha = 0 is the null vector")
+    a_sq = alpha**2
+    if parity_r == -1:
+        return _odd_cat_inversion(a_sq, tau)
     bracket = 1.0 + parity_r**2 + 2.0 * parity_r * math.exp(-2.0 * a_sq)
     main = (1.0 + parity_r**2) * math.exp(-2.0 * a_sq * math.sin(tau) ** 2) \
         * math.cos(a_sq * math.sin(2.0 * tau) + 2.0 * tau)
     cross = 2.0 * parity_r * math.exp(-2.0 * a_sq * math.cos(tau) ** 2) \
         * math.cos(a_sq * math.sin(2.0 * tau) - 2.0 * tau)
     return (main + cross) / bracket
+
+
+def _sinc(x: float) -> float:
+    return math.sin(x) / x if x else 1.0
+
+
+def _expm1_ratio(x: float) -> float:
+    return math.expm1(x) / x if x else 1.0
+
+
+def _odd_cat_inversion(a_sq: float, tau: float) -> float:
+    """The r = -1 inversion with the common factor 2 a^2 divided out.
+
+    With A = a^2 sin 2tau, E_s = exp(-2 a^2 sin^2 tau), E_c = exp(-2 a^2
+    cos^2 tau), S(x) = sin(x)/x and G(x) = expm1(x)/x,
+
+        W = [ -E_s sin^2(2tau) S(A) + E_c G(x) cos 2tau cos(A - 2tau) ] / G(-2 a^2)
+
+    where x = 2 a^2 cos 2tau; E_c G(x) equals E_s G(-x), and the form with
+    the non-positive argument is taken so expm1 cannot overflow.  Nothing
+    cancels, so W stays accurate down to a = 0, where it is cos 4tau.
+    """
+    cos2, sin2 = math.cos(2.0 * tau), math.sin(2.0 * tau)
+    a = a_sq * sin2
+    e_s = math.exp(-2.0 * a_sq * math.sin(tau) ** 2)
+    e_c = math.exp(-2.0 * a_sq * math.cos(tau) ** 2)
+    x = 2.0 * a_sq * cos2
+    lift = e_s * _expm1_ratio(-x) if x > 0.0 else e_c * _expm1_ratio(x)
+    num = -e_s * sin2**2 * _sinc(a) + lift * cos2 * math.cos(a - 2.0 * tau)
+    return num / _expm1_ratio(-2.0 * a_sq)
 
 
 def evolved_cat_branches(spec: CatSpec, tau: float, dim: int):

@@ -20,7 +20,11 @@ joint_state_blocks) take one tau and a general, possibly full-rank density
 matrix, and build the evolved matrix densely as two real weight matrices
 applied to it: the stay branch weights rho[m, n] by cos(phi_m) cos(phi_n),
 and the flip branch moves rho one level, weighted by sin(phi_m) sin(phi_n)
-because (-i sin)(i sin) is real.  sweep_branches covers a whole tau grid
+because (-i sin)(i sin) is real.  Both weight matrices are real and
+symmetric to the bit, so a Hermitian input gives a Hermitian output by
+construction: evolve_field validates its input once and re-checks only the
+trace of what it returns (the dropped top-level flip may remove up to
+DEFAULT_TAIL_LEAK_TOL of it).  sweep_branches covers a whole tau grid
 for an ensemble of pure states with the atom excited: each component v
 evolves into exactly two field branches, stay cos(phi_n) v_n and flip
 -i sin(phi_(n-1)) v_(n-1), so purity, excited population and fidelities
@@ -155,14 +159,15 @@ def evolve_field(rho0: DensityMatrix, params: EvolutionParams) -> DensityMatrix:
 
     Applies the two branches as real weight matrices; the map is trace
     preserving as long as the initial state keeps the top of the truncated
-    basis empty, which is enforced against DEFAULT_TAIL_LEAK_TOL.
+    basis empty, which is enforced against DEFAULT_TAIL_LEAK_TOL.  The
+    output is Hermitian by construction, so only its trace is re-checked.
     """
     _check_inputs(rho0, params)
     cos, sin, src, dst = _branch_weights(params)
     el = rho0.elements
     out = np.outer(cos, cos) * el
     out[dst, dst] += np.outer(sin[src], sin[src]) * el[src, src]
-    return DensityMatrix(out)
+    return DensityMatrix._owned(out)
 
 
 def excited_population(rho0: DensityMatrix, params: EvolutionParams) -> float:

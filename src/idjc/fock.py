@@ -78,14 +78,24 @@ class StateVector:
         return self.amplitudes.size
 
 
+def _check_trace(el: np.ndarray) -> None:
+    tr = complex(np.trace(el))
+    if abs(tr - 1.0) > _TRACE_ATOL:
+        raise ValueError(f"density matrix trace is {tr!r}, expected 1")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace field state on a truncated Fock basis.
 
-    Hermiticity and trace are validated on construction.  Positive
-    semidefiniteness is not (an O(dim^3) eigendecomposition per operation
-    would dominate the cost, and the evolution map preserves positivity
-    structurally); call :meth:`min_eigenvalue` to check it explicitly.
+    The public constructor copies its input and validates shape,
+    Hermiticity and trace, so every user-supplied matrix is checked in
+    full.  The engine's own outputs (:func:`idjc.dynamics.evolve_field`) are
+    Hermitian by construction and come through :meth:`_owned`, which
+    re-checks only the trace.  Positive semidefiniteness is never checked
+    (an O(dim^3) eigendecomposition per operation would dominate the cost,
+    and the evolution map preserves positivity structurally); call
+    :meth:`min_eigenvalue` to check it explicitly.
     """
 
     elements: np.ndarray
@@ -97,11 +107,23 @@ class DensityMatrix:
         herm = float(np.max(np.abs(el - el.conj().T)))
         if herm > _HERMITICITY_ATOL:
             raise ValueError(f"density matrix is not Hermitian: max deviation {herm!r}")
-        tr = complex(np.trace(el))
-        if abs(tr - 1.0) > _TRACE_ATOL:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
+        _check_trace(el)
         el.flags.writeable = False
         object.__setattr__(self, "elements", el)
+
+    @classmethod
+    def _owned(cls, el: np.ndarray) -> "DensityMatrix":
+        """Take ownership of a square complex array the engine just built.
+
+        No copy and no Hermiticity comparison: the caller guarantees that el
+        is Hermitian by construction and that nothing else holds it.  The
+        trace is still checked, and el is made read-only.
+        """
+        _check_trace(el)
+        el.flags.writeable = False
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "elements", el)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -134,9 +156,13 @@ class CatSpec:
 
     @property
     def norm_const(self) -> float:
-        """Normalization constant: 1 / (1 + r^2 + 2 r exp(-2 |alpha|^2))."""
+        """Normalization constant: 1 / (1 + r^2 + 2 r exp(-2 |alpha|^2)).
+
+        The bracket is written (1 + r)^2 + 2 r expm1(-2 |alpha|^2), so the
+        odd case keeps its precision at small |alpha|.
+        """
         r = self.parity_r
-        return 1.0 / (1.0 + r * r + 2.0 * r * math.exp(-2.0 * abs(self.alpha) ** 2))
+        return 1.0 / ((1.0 + r) ** 2 + 2.0 * r * math.expm1(-2.0 * abs(self.alpha) ** 2))
 
 
 def _coherent_amplitudes(betas, dim: int) -> np.ndarray:

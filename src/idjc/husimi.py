@@ -98,6 +98,13 @@ class QGrid:
         return float(self.values.sum()) * self.cell_area
 
 
+def grid_corner_sq(x_min: float, x_max: float, y_min: float, y_max: float) -> float:
+    """Largest |beta|^2 on a grid, at one of its corners; inf once it overflows."""
+    x = max(abs(float(x_min)), abs(float(x_max)))
+    y = max(abs(float(y_min)), abs(float(y_max)))
+    return x * x + y * y
+
+
 def _grid_axes(x_min: float, x_max: float, y_min: float, y_max: float,
                nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Sample points of a valid grid and the largest |beta|^2 on it."""
@@ -105,7 +112,10 @@ def _grid_axes(x_min: float, x_max: float, y_min: float, y_max: float,
         raise ValueError(f"grid needs nx, ny >= 2, got {nx} x {ny}")
     if not (x_max > x_min and y_max > y_min):
         raise ValueError("grid bounds must satisfy x_max > x_min and y_max > y_min")
-    corner_sq = max(x_min**2, x_max**2) + max(y_min**2, y_max**2)
+    corner_sq = grid_corner_sq(x_min, x_max, y_min, y_max)
+    if not math.isfinite(corner_sq):
+        raise ValueError(f"grid corner |beta|^2 is not finite for bounds "
+                         f"x in [{x_min!r}, {x_max!r}], y in [{y_min!r}, {y_max!r}]")
     return np.linspace(x_min, x_max, nx), np.linspace(y_min, y_max, ny), corner_sq
 
 

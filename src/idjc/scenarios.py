@@ -156,9 +156,12 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         else:
             if config.nx < 2 or config.ny < 2:
                 errors.append(f"grid: nx and ny must be >= 2, got {config.nx} x {config.ny}")
-            if (all(_finite(getattr(config, name)) for name in bounds)
-                    and not (config.x_max > config.x_min and config.y_max > config.y_min)):
-                errors.append("grid: bounds must satisfy x_max > x_min and y_max > y_min")
+            values = [getattr(config, name) for name in bounds]
+            if all(_finite(v) for v in values):  # non-finite bounds are reported above
+                if not (config.x_max > config.x_min and config.y_max > config.y_min):
+                    errors.append("grid: bounds must satisfy x_max > x_min and y_max > y_min")
+                elif not _finite(husimi.grid_corner_sq(*values)):
+                    errors.append("grid: bounds too large, the corner |beta|^2 overflows")
     return errors
 
 

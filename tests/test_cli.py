@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import idjc.cli
 from idjc.cli import main
 
 
@@ -57,6 +60,17 @@ class TestRunOk:
                        "--tau-steps", "5", "--self-check", "--out", str(out)) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 5
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+    @pytest.mark.parametrize("alpha", ["1e-7", "1e-9"])
+    def test_odd_cat_small_alpha(self, tmp_path, alpha):
+        """The odd-cat bracket and numerator vanish like alpha^2 here."""
+        out = tmp_path / "w.csv"
+        assert run_cli("run", "--scenario", "inversion-cat", "--parity-r", "-1",
+                       "--alpha", alpha, "--tau-steps", "25", "--self-check",
+                       "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 25
         assert all(math.isfinite(float(v)) for row in rows for v in row)
 
     def test_json_format(self, tmp_path):
@@ -190,9 +204,10 @@ QFUNC_CONFIG = {"scenario": "qfunc-mixture", "alpha": 2.0, "x_min": -4.0, "x_max
     ({"nx": 1}, "nx and ny"),
     ({"x_max": -4.0}, "x_max > x_min"),
     ({"nx": 2.5}, "nx:"),
+    ({"x_min": -1e200}, "grid:"),
     ([1, 2], "config file"),
 ], ids=["parity_r", "dim", "output_format", "output_path", "tau_values", "nx", "x_max",
-        "fractional_nx", "not_an_object"])
+        "fractional_nx", "overflowing_grid", "not_an_object"])
 def test_config_file_error(tmp_path, capsys, values, field):
     """Each invalid config file exits 2, names what is wrong and writes nothing."""
     cfg = tmp_path / "cfg.json"
@@ -206,11 +221,14 @@ def test_config_file_error(tmp_path, capsys, values, field):
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):
+        """The child finds the package where this process imported it from."""
         out = tmp_path / "cli.csv"
+        src = str(Path(idjc.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "idjc.cli", "run", "--scenario", "purity-mixture",
              "--tau-steps", "8", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert str(out) in proc.stdout

@@ -97,6 +97,17 @@ class TestInversionCatClosed:
                 b = idjc.inversion_cat_closed(ALPHA, parity_r, tau + math.pi)
                 assert abs(a - b) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-7, 1e-5, 1e-3, 0.5])
+    def test_odd_cat_small_alpha_against_fock_sum(self, alpha):
+        # independent route: P_n = alpha^(2n) / (n! sinh alpha^2) on odd n
+        n = np.arange(1, 80, 2)
+        log_terms = 2.0 * n * math.log(alpha) - np.array([math.lgamma(k + 1.0) for k in n])
+        pmf = np.exp(log_terms) / math.sinh(alpha**2)
+        for tau in np.linspace(0.0, 2.0 * math.pi, 61):
+            expected = float(pmf @ np.cos(2.0 * tau * (n + 1.0)))
+            got = idjc.inversion_cat_closed(alpha, -1, tau)
+            assert got == pytest.approx(expected, abs=1e-12)
+
     def test_invalid_inputs(self):
         with pytest.raises(InvalidCat):
             idjc.inversion_cat_closed(0.0, -1, 1.0)

@@ -105,6 +105,20 @@ class TestEvolveField:
         with pytest.raises(TailLeak):
             idjc.evolve_field(idjc.DensityMatrix(el), params(0.5, dim=10))
 
+    def test_output_trace_still_checked(self):
+        """The dropped top-level flip adds to the input's own trace defect.
+
+        Each stays within its tolerance here (0.9e-10 against 1e-10 for
+        both), but at tau = pi/20 the top level flips out completely and the
+        output trace falls 1.8e-10 short.
+        """
+        el = np.zeros((10, 10), dtype=complex)
+        el[0, 0] = 1.0 - 1.8e-10
+        el[9, 9] = 0.9e-10
+        rho0 = idjc.DensityMatrix(el)
+        with pytest.raises(ValueError, match="trace"):
+            idjc.evolve_field(rho0, params(math.pi / 20, dim=10))
+
     def test_dim_mismatch(self, mixture5):
         with pytest.raises(DimMismatch):
             idjc.evolve_field(mixture5, params(0.5, dim=DIM + 1))
@@ -290,6 +304,12 @@ def test_dense_map_equals_explicit_kraus_products(seed, dim, tau, coupling, atom
 
     out = idjc.evolve_field(rho0, p)
     assert np.max(np.abs(out.elements - (kept + flipped))) <= 1e-14
+    # the output is taken over, not copied, and is Hermitian to the bit
+    assert not out.elements.flags.writeable
+    assert out.elements is not rho0.elements
+    hermitian = idjc.DensityMatrix((el + el.conj().T) / 2.0)
+    sym = idjc.evolve_field(hermitian, p).elements
+    assert np.array_equal(sym, sym.conj().T)
 
     blocks = idjc.joint_state_blocks(rho0, p)
     if atom == idjc.ATOM_EXCITED:

@@ -87,6 +87,13 @@ class TestQGrid:
         with pytest.raises(ValueError):
             idjc.q_grid(mixture5, 1.0, -1.0, -1.0, 1.0, 10, 10)
 
+    def test_rejects_overflowing_bounds(self, mixture5):
+        """A bound whose square overflows is a ValueError, not an OverflowError."""
+        with pytest.raises(ValueError, match="not finite"):
+            idjc.q_grid(mixture5, -1e200, 8.0, -8.0, 8.0, 5, 5)
+        with pytest.raises(ValueError, match="not finite"):
+            idjc.q_sweep([(1.0, idjc.make_coherent(2.0))], [0.0], -8.0, 8.0, -8.0, 1e200, 5, 5)
+
     def test_cell_area(self):
         vac = idjc.pure_density(idjc.make_coherent(0.0, 6))
         grid = idjc.q_grid(vac, -2.0, 2.0, -1.0, 1.0, 41, 21)
