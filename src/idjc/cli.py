@@ -4,8 +4,10 @@
     idjc run --scenario purity-mixture --alpha 5 --tau-max 3.1416 \
              --tau-steps 600 --out out.csv
 
-Flags override keys from the config file.  Exit codes: 0 success, 2 invalid
-configuration, 3 numeric precondition or self-check failure, 4 I/O error.
+Flags override keys from the config file and are parsed like them: argparse
+only maps each flag to its key, so a bad value gives the same message either
+way.  Exit codes: 0 success, 2 invalid configuration, 3 numeric precondition
+or self-check failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -34,28 +36,26 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a named scenario and write its table(s)")
     run.add_argument("--config", type=Path,
                      help="JSON config file (flat document); flags override its keys")
-    run.add_argument("--scenario", choices=SCENARIO_NAMES)
-    run.add_argument("--alpha", type=float, help="coherent amplitude (real, positive)")
-    run.add_argument("--parity-r", dest="parity_r", type=int, choices=(-1, 0, 1),
-                     help="superposition parity for the cat scenarios")
-    run.add_argument("--lambda", dest="lam", type=float,
+    run.add_argument("--scenario", help=f"one of {', '.join(SCENARIO_NAMES)}")
+    run.add_argument("--alpha", help="coherent amplitude (real, positive)")
+    run.add_argument("--parity-r", dest="parity_r",
+                     help="superposition parity for the cat scenarios: -1, 0 or 1")
+    run.add_argument("--lambda", dest="lam",
                      help="coupling constant; sets the physical time scale only")
-    run.add_argument("--tau-max", dest="tau_max", type=float,
-                     help="end of the dimensionless time sweep")
-    run.add_argument("--tau-steps", dest="tau_steps", type=int,
+    run.add_argument("--tau-max", dest="tau_max", help="end of the dimensionless time sweep")
+    run.add_argument("--tau-steps", dest="tau_steps",
                      help="number of tau samples from 0 to tau-max inclusive")
-    run.add_argument("--tau-values", dest="tau_values", type=_tau_list,
+    run.add_argument("--tau-values", dest="tau_values",
                      help="comma-separated taus for the qfunc-mixture grids")
-    run.add_argument("--dim", type=_dim_value,
-                     help='Fock truncation: "auto" or an integer')
-    run.add_argument("--x-min", dest="x_min", type=float)
-    run.add_argument("--x-max", dest="x_max", type=float)
-    run.add_argument("--y-min", dest="y_min", type=float)
-    run.add_argument("--y-max", dest="y_max", type=float)
-    run.add_argument("--nx", type=int)
-    run.add_argument("--ny", type=int)
+    run.add_argument("--dim", help='Fock truncation: "auto" or an integer')
+    run.add_argument("--x-min", dest="x_min")
+    run.add_argument("--x-max", dest="x_max")
+    run.add_argument("--y-min", dest="y_min")
+    run.add_argument("--y-max", dest="y_max")
+    run.add_argument("--nx")
+    run.add_argument("--ny")
     run.add_argument("--out", dest="output_path", help="output file path")
-    run.add_argument("--format", dest="output_format", choices=("csv", "json"))
+    run.add_argument("--format", dest="output_format", help="csv or json")
     run.add_argument("--self-check", action="store_true",
                      help="cross-check numeric output against closed forms before writing")
     run.add_argument("--jobs", type=int,
@@ -63,12 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tau_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
-
-
-def _dim_value(text: str):
-    return text if text == "auto" else int(text)
+def _tau_list(text: str) -> list[str]:
+    """Split the comma syntax of --tau-values; each entry is parsed as in a config list."""
+    return text.split(",")
 
 
 def _load_config_file(path: Path) -> dict:
@@ -89,7 +86,7 @@ def main(argv=None) -> int:
         for field in fields(ScenarioConfig):
             value = getattr(args, field.name, None)
             if value is not None:
-                raw[field.name] = value
+                raw[field.name] = _tau_list(value) if field.name == "tau_values" else value
         config = config_from_mapping(raw)
         paths = run_scenario(config, self_check=args.self_check)
     except ConfigError as exc:

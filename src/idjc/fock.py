@@ -199,13 +199,10 @@ def make_coherent(alpha, dim: int | None = None,
 
     dim=None applies :func:`default_dim`.  Raises TruncationTooSmall when the
     discarded Poisson tail would exceed tail_tol; renormalization then keeps
-    truncation errors confined to that declared budget.
+    truncation errors confined to that declared budget.  This is
+    :func:`make_cat` with parity_r = 0, whose parity factor is exactly 1.
     """
-    alpha = complex(alpha)
-    if dim is None:
-        dim = default_dim(alpha)
-    _check_truncation(alpha, dim, tail_tol)
-    return StateVector.normalized(_coherent_amplitudes(alpha, dim)[0])
+    return make_cat(CatSpec(alpha, 0), dim, tail_tol)
 
 
 def make_cat(spec: CatSpec, dim: int | None = None,

@@ -98,23 +98,18 @@ class QGrid:
         return float(self.values.sum()) * self.cell_area
 
 
-def grid_corner_sq(x_min: float, x_max: float, y_min: float, y_max: float) -> float:
-    """Largest |beta|^2 on a grid, at one of its corners; inf once it overflows."""
-    x = max(abs(float(x_min)), abs(float(x_max)))
-    y = max(abs(float(y_min)), abs(float(y_max)))
-    return x * x + y * y
-
-
 def _grid_axes(x_min: float, x_max: float, y_min: float, y_max: float,
                nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Sample points of a valid grid and the largest |beta|^2 on it."""
     if nx < 2 or ny < 2:
-        raise ValueError(f"grid needs nx, ny >= 2, got {nx} x {ny}")
+        raise ValueError(f"nx and ny must be >= 2, got {nx} x {ny}")
     if not (x_max > x_min and y_max > y_min):
-        raise ValueError("grid bounds must satisfy x_max > x_min and y_max > y_min")
-    corner_sq = grid_corner_sq(x_min, x_max, y_min, y_max)
+        raise ValueError("bounds must satisfy x_max > x_min and y_max > y_min")
+    x = max(abs(float(x_min)), abs(float(x_max)))
+    y = max(abs(float(y_min)), abs(float(y_max)))
+    corner_sq = x * x + y * y  # not x ** 2: a 1e200 bound gives inf, not OverflowError
     if not math.isfinite(corner_sq):
-        raise ValueError(f"grid corner |beta|^2 is not finite for bounds "
+        raise ValueError(f"corner |beta|^2 is not finite for bounds "
                          f"x in [{x_min!r}, {x_max!r}], y in [{y_min!r}, {y_max!r}]")
     return np.linspace(x_min, x_max, nx), np.linspace(y_min, y_max, ny), corner_sq
 

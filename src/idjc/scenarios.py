@@ -21,14 +21,6 @@ import numpy as np
 from . import closed_form, dynamics, fock, husimi
 from .errors import ConfigError, SelfCheckFailed
 
-SCENARIO_NAMES = (
-    "purity-mixture",
-    "inversion-cat",
-    "qfunc-mixture",
-    "cat-transition",
-    "ordinary-contrast",
-)
-
 GRID_FIELDS = ("x_min", "x_max", "y_min", "y_max", "nx", "ny")
 
 #: Numeric and closed-form columns must agree to this under --self-check.
@@ -143,8 +135,7 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             errors.append("tau_values: must contain at least one tau")
         elif not all(_finite(t) and t >= 0.0 for t in config.tau_values):
             errors.append("tau_values: all entries must be finite and >= 0")
-    bounds = GRID_FIELDS[:4]
-    for name in bounds:
+    for name in GRID_FIELDS[:4]:
         value = getattr(config, name)
         if value is not None and not _finite(value):
             errors.append(f"{name}: must be finite, got {value!r}")
@@ -154,14 +145,10 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             errors.append("grid: qfunc-mixture needs explicit bounds and resolution; "
                           f"missing {', '.join(missing)}")
         else:
-            if config.nx < 2 or config.ny < 2:
-                errors.append(f"grid: nx and ny must be >= 2, got {config.nx} x {config.ny}")
-            values = [getattr(config, name) for name in bounds]
-            if all(_finite(v) for v in values):  # non-finite bounds are reported above
-                if not (config.x_max > config.x_min and config.y_max > config.y_min):
-                    errors.append("grid: bounds must satisfy x_max > x_min and y_max > y_min")
-                elif not _finite(husimi.grid_corner_sq(*values)):
-                    errors.append("grid: bounds too large, the corner |beta|^2 overflows")
+            try:
+                husimi._grid_axes(*(getattr(config, name) for name in GRID_FIELDS))
+            except ValueError as exc:
+                errors.append(f"grid: {exc}")
     return errors
 
 
@@ -317,6 +304,8 @@ _RUNNERS = {
     "cat-transition": _run_cat_transition,
     "ordinary-contrast": _run_ordinary_contrast,
 }
+
+SCENARIO_NAMES = tuple(_RUNNERS)
 
 
 def _output_paths(config: ScenarioConfig, count: int) -> list[Path]:
