@@ -9,6 +9,7 @@ every function here is pure, so concurrent use needs no locking.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,11 +67,20 @@ class StateVector:
 
     @classmethod
     def normalized(cls, amplitudes) -> "StateVector":
-        """Build a StateVector from arbitrary amplitudes, rescaling to unit norm."""
+        """Build a StateVector from arbitrary amplitudes, rescaling to unit norm.
+
+        When the squared norm underflows (amplitudes near 1e-160), the
+        amplitudes are first divided by the largest modulus; every other
+        input is normalized unscaled, so its bits do not depend on this.
+        """
         amp = np.asarray(amplitudes, dtype=complex)
         norm = float(np.linalg.norm(amp))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
+        if norm * norm < sys.float_info.min:
+            peak = float(np.max(np.abs(amp), initial=0.0))
+            if peak == 0.0:
+                raise ValueError("cannot normalize the zero vector")
+            amp = amp.real / peak + 1j * (amp.imag / peak)  # numpy's complex divide forms 1/peak
+            norm = float(np.linalg.norm(amp))
         return cls(amp / norm)
 
     @property

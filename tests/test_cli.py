@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import idjc.cli
@@ -72,6 +73,15 @@ class TestRunOk:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 25
         assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+    def test_odd_cat_tiny_alpha(self, tmp_path):
+        """At alpha = 1e-160 the odd cat is |1>, whose inversion is cos 4 tau."""
+        out = tmp_path / "w.csv"
+        assert run_cli("run", "--scenario", "inversion-cat", "--parity-r", "-1",
+                       "--alpha", "1e-160", "--tau-steps", "9", "--self-check",
+                       "--out", str(out)) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.allclose(table[:, 1:], np.cos(4.0 * table[:, :1]), rtol=0.0, atol=1e-12)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "w.json"
@@ -216,6 +226,30 @@ def test_config_file_error(tmp_path, capsys, values, field):
     cfg.write_text(json.dumps(values))
     assert run_cli("run", "--config", str(cfg)) == 2
     assert field in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("flag,key,value,field", [
+    ("--dim", "dim", "abc", "dim"),
+    ("--alpha", "alpha", "x", "alpha"),
+    ("--parity-r", "parity_r", "2", "parity_r"),
+    ("--format", "output_format", "xml", "output_format"),
+    ("--tau-steps", "tau_steps", "2.5", "tau_steps"),
+    ("--scenario", "scenario", "foo", "scenario"),
+    ("--nx", "nx", "1", "grid"),
+])
+def test_flag_reads_like_config_key(tmp_path, capsys, flag, key, value, field):
+    """A bad flag value exits 2, writes nothing and gives the config key's message."""
+    out = str(tmp_path / "q.csv")
+    flags = dict(QFUNC_ARGS, **{"--scenario": "qfunc-mixture", "--out": out, flag: value})
+    assert run_cli("run", *(f"{k}={v}" for k, v in flags.items())) == 2
+    from_flag = capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**QFUNC_CONFIG, "output_path": out, key: value}))
+    assert run_cli("run", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == from_flag
+    assert from_flag.startswith(f"error: {field}: ")
+    assert from_flag.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 

@@ -80,6 +80,11 @@ class TestMakeCat:
         psi = idjc.make_cat(idjc.CatSpec(alpha=0.001, parity_r=-1), 8)
         assert abs(psi.amplitudes[1]) ** 2 > 0.999999
 
+    def test_tiny_alpha_odd_cat_is_exactly_single_photon(self):
+        """The squared norm of 2e-160 amplitudes underflows; the state is still |1>."""
+        psi = idjc.make_cat(idjc.CatSpec(alpha=1e-160, parity_r=-1), 4)
+        assert np.array_equal(psi.amplitudes, [0.0, 1.0, 0.0, 0.0])
+
     def test_r_zero_reduces_to_coherent(self):
         cat = idjc.make_cat(idjc.CatSpec(alpha=ALPHA, parity_r=0), 60, tail_tol=1e-8)
         coh = idjc.make_coherent(ALPHA, 60, tail_tol=1e-8)
@@ -106,6 +111,18 @@ class TestStateVector:
     def test_normalized_classmethod(self):
         psi = idjc.StateVector.normalized([1.0, 1.0j])
         assert abs(abs(psi.amplitudes[0]) ** 2 - 0.5) < 1e-15
+
+    def test_normalized_keeps_ordinary_bits(self):
+        raw = np.random.default_rng(3).normal(size=(50, 2)) @ [1.0, 1.0j]
+        for amp in (raw, 1e-150 * raw, 1e150 * raw):
+            expected = amp / np.linalg.norm(amp)
+            assert np.array_equal(idjc.StateVector.normalized(amp).amplitudes, expected)
+
+    def test_normalized_subnormal_and_zero(self):
+        psi = idjc.StateVector.normalized([0.0, 1e-320j, 0.0])
+        assert np.array_equal(psi.amplitudes, [0.0, 1.0j, 0.0])
+        with pytest.raises(ValueError, match="zero vector"):
+            idjc.StateVector.normalized([0.0, 0.0])
 
     def test_immutable(self):
         psi = idjc.make_coherent(1.0, 20)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idjc
+from idjc.scenarios import ScenarioConfig, validate_config
 
 from conftest import params, random_density
 
@@ -116,3 +117,31 @@ def test_evolution_linear_in_density_argument():
     lhs = idjc.evolve_field(mixed, p).elements
     rhs = 0.3 * idjc.evolve_field(a, p).elements + 0.7 * idjc.evolve_field(b, p).elements
     assert np.max(np.abs(lhs - rhs)) < 1e-14
+
+
+#: (min, max) of one grid axis: ordinary, equal, reversed, or with a bound whose square overflows.
+GRID_AXES = st.sampled_from([(-3.0, 2.0), (0.0, 0.5), (1.0, 1.0), (2.0, -3.0),
+                             (-1e200, 1.0), (0.0, 1e200)])
+
+
+def _value_error(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(x_axis=GRID_AXES, y_axis=GRID_AXES, nx=st.integers(0, 4), ny=st.integers(0, 4))
+def test_grid_verdicts_agree(x_axis, y_axis, nx, ny):
+    """validate_config rejects a qfunc grid exactly when q_grid and q_sweep do, in their words."""
+    bounds = (*x_axis, *y_axis)
+    vac = idjc.make_coherent(0.0, 6)
+    dense = _value_error(lambda: idjc.q_grid(idjc.pure_density(vac), *bounds, nx, ny))
+    swept = _value_error(lambda: idjc.q_sweep([(1.0, vac)], [0.0], *bounds, nx, ny))
+    config = ScenarioConfig(scenario="qfunc-mixture", x_min=bounds[0], x_max=bounds[1],
+                            y_min=bounds[2], y_max=bounds[3], nx=nx, ny=ny)
+    reported = [e for e in validate_config(config) if e.startswith("grid: ")]
+    assert dense == swept
+    assert reported == ([] if dense is None else [f"grid: {dense}"])
