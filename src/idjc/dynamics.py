@@ -28,10 +28,14 @@ DEFAULT_TAIL_LEAK_TOL of it).  sweep_branches covers a whole tau grid
 for an ensemble of pure states with the atom excited: each component v
 evolves into exactly two field branches, stay cos(phi_n) v_n and flip
 -i sin(phi_(n-1)) v_(n-1), so purity, excited population and fidelities
-are sums of branch overlaps.  Every overlap is a real (taus x dim)
-trigonometric block times a fixed complex dim-vector, evaluated over
-fixed-size tau blocks; no evolved matrix is ever built, and the
-temporaries do not grow with the number of taus.
+are sums of branch overlaps.  Every overlap is a real (taus x levels)
+trigonometric block times a fixed complex vector of level products,
+evaluated over fixed-size tau blocks; no evolved matrix is ever built, and
+the temporaries do not grow with the number of taus.
+Both paths take the cos and sin of the pair phases, for one tau or a block
+of taus, from _branch_weights, together with the flip branch's source and
+target levels src and dst: the flip weights and products are sliced to
+them, so the top level's flip, which would leave the basis, is never formed.
 With coherent states as targets the fidelity sum is the Husimi Q of the
 evolved ensemble, which is how :func:`idjc.husimi.q_sweep` builds Q grids.
 """
@@ -87,26 +91,9 @@ class EvolutionParams:
             raise ValueError(f"unknown atom state {self.atom!r}")
 
 
-def _pair_frequencies(dim: int, coupling: str, atom: str) -> np.ndarray:
-    """Rabi frequency, in units of lam, of the pair containing Fock level n.
-
-    Excited atom: level n pairs upward, frequency n+1 in the
-    intensity-dependent mode or sqrt(n+1) in the ordinary one.
-    Ground atom: level n pairs downward, n in place of n+1.
-    """
-    offset = 1.0 if atom == ATOM_EXCITED else 0.0
-    n = np.arange(dim, dtype=float) + offset
-    return n if coupling == INTENSITY_DEPENDENT else np.sqrt(n)
-
-
-def _pair_phases(params: EvolutionParams) -> np.ndarray:
-    """Accumulated Rabi phase tau * frequency of the pair containing level n."""
-    return params.tau * _pair_frequencies(params.dim, params.coupling, params.atom)
-
-
 def kraus_diag(params: EvolutionParams) -> np.ndarray:
     """Diagonal entries <n|K|n> of the atom-unchanged branch (a cosine)."""
-    return np.cos(_pair_phases(params))
+    return _branch_weights(params.tau, params.dim, params.coupling, params.atom)[0]
 
 
 def kraus_shift(params: EvolutionParams) -> np.ndarray:
@@ -120,21 +107,27 @@ def kraus_shift(params: EvolutionParams) -> np.ndarray:
     keep the top levels empty (see TailLeak).  For a ground atom entry n
     maps |n> to |n-1> with amplitude -i sin(tau*n); entry 0 is zero.
     """
-    return -1j * np.sin(_pair_phases(params))
+    return -1j * _branch_weights(params.tau, params.dim, params.coupling, params.atom)[1]
 
 
-def _branch_weights(params: EvolutionParams) -> tuple[np.ndarray, np.ndarray, slice, slice]:
+def _branch_weights(tau, dim: int, coupling: str,
+                    atom: str = ATOM_EXCITED) -> tuple[np.ndarray, np.ndarray, slice, slice]:
     """cos and sin of the pair phases, and the flip branch's source and target levels.
 
-    The flip branch moves rho[src, src] to [dst, dst]: up one level for an
-    excited atom (the top level's flip leaves the basis), down one for a
-    ground atom.
+    tau is one tau, giving dim-vectors, or a 1-d block of them, giving one
+    row per tau.  The phase of level n is tau times the Rabi frequency, in
+    units of lam, of the pair containing n.  An excited atom pairs level n
+    upward, frequency n+1 in the intensity-dependent mode or sqrt(n+1) in
+    the ordinary one, and its flip moves level src up one to dst (the top
+    level's flip leaves the basis).  A ground atom pairs downward, n in
+    place of n+1, and its flip moves down one.
     """
-    phases = _pair_phases(params)
-    if params.atom == ATOM_EXCITED:
-        src, dst = slice(None, -1), slice(1, None)
+    if atom == ATOM_EXCITED:
+        levels, src, dst = np.arange(1.0, dim + 1.0), slice(None, -1), slice(1, None)
     else:
-        src, dst = slice(1, None), slice(None, -1)
+        levels, src, dst = np.arange(0.0, dim), slice(1, None), slice(None, -1)
+    freqs = levels if coupling == INTENSITY_DEPENDENT else np.sqrt(levels)
+    phases = np.multiply.outer(tau, freqs)
     return np.cos(phases), np.sin(phases), src, dst
 
 
@@ -163,7 +156,7 @@ def evolve_field(rho0: DensityMatrix, params: EvolutionParams) -> DensityMatrix:
     output is Hermitian by construction, so only its trace is re-checked.
     """
     _check_inputs(rho0, params)
-    cos, sin, src, dst = _branch_weights(params)
+    cos, sin, src, dst = _branch_weights(params.tau, params.dim, params.coupling, params.atom)
     el = rho0.elements
     out = np.outer(cos, cos) * el
     out[dst, dst] += np.outer(sin[src], sin[src]) * el[src, src]
@@ -177,7 +170,7 @@ def excited_population(rho0: DensityMatrix, params: EvolutionParams) -> float:
     diagonal-to-diagonal in that respect).
     """
     _check_inputs(rho0, params)
-    cos, sin, _, _ = _branch_weights(params)
+    cos, sin, _, _ = _branch_weights(params.tau, params.dim, params.coupling, params.atom)
     weights = cos**2 if params.atom == ATOM_EXCITED else sin**2
     return float(np.sum(weights * np.real(np.diag(rho0.elements))))
 
@@ -216,7 +209,7 @@ def joint_state_blocks(rho0: DensityMatrix, params: EvolutionParams) -> JointBlo
     flip branch times the stay branch, -i sin_m cos_n.
     """
     _check_inputs(rho0, params)
-    cos, sin, src, dst = _branch_weights(params)
+    cos, sin, src, dst = _branch_weights(params.tau, params.dim, params.coupling, params.atom)
     el = rho0.elements
     stay = np.outer(cos, cos) * el
     flip = np.zeros_like(el)
@@ -240,18 +233,17 @@ class BranchSweep:
     fidelities: np.ndarray
 
 
-def _pair_products(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """conj(x[n]) y[n] and conj(x[n+1]) y[n] for x in left and y in right.
+def _pair_products(left: np.ndarray, right: np.ndarray,
+                   src: slice, dst: slice) -> tuple[np.ndarray, np.ndarray]:
+    """conj(x[n]) y[n] over all levels, and conj(x[dst]) y[src], for x in left and y in right.
 
-    Row i*len(right) + j of each product belongs to (left[i], right[j]); the
-    shifted product is zero at n = dim-1.  Both come back split into real
-    and imaginary columns (see _abs2).
+    Row i*len(right) + j of each product belongs to (left[i], right[j]).
+    Both come back split into real and imaginary columns (see _abs2).
     """
-    dim = right.shape[1]
-    same = (left.conj()[:, None, :] * right[None, :, :]).reshape(-1, dim)
-    up = np.zeros_like(same)
-    up[:, :-1] = (left.conj()[:, None, 1:] * right[None, :, :-1]).reshape(-1, dim - 1)
-    return tuple(np.concatenate([z.real, z.imag]).T for z in (same, up))
+    same = left.conj()[:, None, :] * right[None, :, :]
+    shifted = left.conj()[:, None, dst] * right[None, :, src]
+    return tuple(np.concatenate([z.real, z.imag]).reshape(-1, z.shape[-1]).T
+                 for z in (same, shifted))
 
 
 def _abs2(trig: np.ndarray, split: np.ndarray) -> np.ndarray:
@@ -296,27 +288,23 @@ def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
 
     m = len(weights)
     pair_weights = np.outer(weights, weights).ravel()
-    same, up = _pair_products(vecs, vecs)
-    goal_same, goal_up = _pair_products(goals, vecs)
+    *_, src, dst = _branch_weights(0.0, dim, coupling)  # the flip levels, the same at every tau
+    same, up = _pair_products(vecs, vecs, src, dst)
+    goal_same, goal_up = _pair_products(goals, vecs, src, dst)
     pops = weights @ (vecs.real ** 2 + vecs.imag ** 2)
 
-    freqs = _pair_frequencies(dim, coupling, ATOM_EXCITED)
     purity = np.empty(taus.size)
     excited = np.empty(taus.size)
     fids = np.empty((taus.size, len(goals)))
     for start in range(0, taus.size, SWEEP_TAU_BLOCK):
         block = slice(start, start + SWEEP_TAU_BLOCK)
-        phases = taus[block, None] * freqs[None, :]
-        cos, sin = np.cos(phases), np.sin(phases)
-        sin[:, -1] = 0.0  # the dropped top-level flip
-        cos2 = cos * cos
-        cross = np.zeros_like(cos)
-        cross[:, :-1] = cos[:, 1:] * sin[:, :-1]
-        overlaps = (_abs2(cos2, same) + _abs2(sin * sin, same)
-                    + 2.0 * _abs2(cross, up))
+        cos, sin, _, _ = _branch_weights(taus[block], dim, coupling)
+        cos2, flip = cos * cos, sin[:, src]
+        overlaps = (_abs2(cos2, same) + _abs2(flip * flip, same[src])
+                    + 2.0 * _abs2(cos[:, dst] * flip, up))
         purity[block] = 1.0 - overlaps @ pair_weights
         excited[block] = cos2 @ pops
-        branch = _abs2(cos, goal_same) + _abs2(sin, goal_up)
-        fids[block] = branch.reshape(len(phases), len(goals), m) @ weights
+        branch = _abs2(cos, goal_same) + _abs2(flip, goal_up)
+        fids[block] = branch.reshape(len(cos), len(goals), m) @ weights
     return BranchSweep(purity_defect=purity, excited_population=excited,
                        fidelities=fids.T.copy())

@@ -139,7 +139,7 @@ def q_sweep(components, taus, x_min: float, x_max: float, y_min: float, y_max: f
     components = list(components)
     xs, ys, corner_sq = _grid_axes(x_min, x_max, y_min, y_max, nx, ny)
     dim = components[0][1].dim if components else 0
-    top = sweep_branches(components, taus, targets=np.eye(dim)[-2:]).fidelities.sum(axis=0)
+    top = sweep_branches(components, taus, targets=np.eye(2, dim, dim - 2)).fidelities.sum(axis=0)
     _truncation_guard(float(top.max(initial=0.0)), dim, corner_sq, guard_tol)
     values = np.empty((top.size, nx, ny))
     for i, x in enumerate(xs):
