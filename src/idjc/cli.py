@@ -5,9 +5,10 @@
              --tau-steps 600 --out out.csv
 
 Flags override keys from the config file and are parsed like them: argparse
-only maps each flag to its key, so a bad value gives the same message either
-way.  Exit codes: 0 success, 2 invalid configuration, 3 numeric precondition
-or self-check failure, 4 I/O error.
+only maps each flag to its key (--tau-values splits its commas into a list),
+so a bad value gives the same message either way.  Exit codes: 0 success,
+2 invalid configuration, 3 numeric precondition or self-check failure, 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tau-max", dest="tau_max", help="end of the dimensionless time sweep")
     run.add_argument("--tau-steps", dest="tau_steps",
                      help="number of tau samples from 0 to tau-max inclusive")
-    run.add_argument("--tau-values", dest="tau_values",
+    run.add_argument("--tau-values", dest="tau_values", type=lambda text: text.split(","),
                      help="comma-separated taus for the qfunc-mixture grids")
     run.add_argument("--dim", help='Fock truncation: "auto" or an integer')
     run.add_argument("--x-min", dest="x_min")
@@ -63,16 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tau_list(text: str) -> list[str]:
-    """Split the comma syntax of --tau-values; each entry is parsed as in a config list."""
-    return text.split(",")
-
-
 def _load_config_file(path: Path) -> dict:
-    text = path.read_text()
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError([f"config file {path}: not valid JSON ({exc})"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([f"config file {path}: must be a single flat JSON object"])
@@ -86,7 +81,7 @@ def main(argv=None) -> int:
         for field in fields(ScenarioConfig):
             value = getattr(args, field.name, None)
             if value is not None:
-                raw[field.name] = _tau_list(value) if field.name == "tau_values" else value
+                raw[field.name] = value
         config = config_from_mapping(raw)
         paths = run_scenario(config, self_check=args.self_check)
     except ConfigError as exc:

@@ -166,7 +166,15 @@ def evolved_cat_branches(spec: CatSpec, tau: float, dim: int):
         raise TruncationTooSmall(f"dim must be >= 1, got {dim}")
     n = np.arange(dim)
     base = _coherent_series(spec.alpha, dim)
-    base = base * (1.0 + spec.parity_r * (-1.0) ** n) * math.sqrt(spec.norm_const)
+    if spec.parity_r == -1:
+        # sqrt(norm_const) = 1 / (2 |alpha| sqrt(G)), G = expm1(x) / x at x = -2 |alpha|^2,
+        # overflows at tiny alpha; <n|alpha> = alpha <n-1|alpha> / sqrt(n) cancels 1/|alpha|
+        a = abs(spec.alpha)
+        base[1:] = base[:-1] / np.sqrt(n[1:]) * (spec.alpha / a)
+        scale = 0.5 / math.sqrt(_expm1_ratio(-2.0 * a * a))
+    else:
+        scale = math.sqrt(spec.norm_const)
+    base = base * (1.0 + spec.parity_r * (-1.0) ** n) * scale
     held = float(np.vdot(base, base).real)
     if not 1.0 - held < SERIES_TAIL_TOL:
         raise TruncationTooSmall(

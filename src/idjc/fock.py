@@ -169,10 +169,13 @@ class CatSpec:
         """Normalization constant: 1 / (1 + r^2 + 2 r exp(-2 |alpha|^2)).
 
         The bracket is written (1 + r)^2 + 2 r expm1(-2 |alpha|^2), so the
-        odd case keeps its precision at small |alpha|.
+        odd case keeps its precision at small |alpha|.  Its odd value, about
+        4 |alpha|^2, is 0 once |alpha|^2 underflows; the constant is then
+        beyond the float range, and reads inf, as it does below about 3.7e-155.
         """
         r = self.parity_r
-        return 1.0 / ((1.0 + r) ** 2 + 2.0 * r * math.expm1(-2.0 * abs(self.alpha) ** 2))
+        bracket = (1.0 + r) ** 2 + 2.0 * r * math.expm1(-2.0 * abs(self.alpha) ** 2)
+        return 1.0 / bracket if bracket else math.inf
 
 
 def _coherent_amplitudes(betas, dim: int) -> np.ndarray:

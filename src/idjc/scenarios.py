@@ -62,9 +62,10 @@ def config_from_mapping(raw) -> ScenarioConfig:
 
     Unknown keys are errors: a misspelled key would otherwise silently fall
     back to a default and corrupt a reproduction run.  For the same reason a
-    boolean is no value of any field (true would read as 1), and tau_values
+    boolean is no value of any field (true would read as 1), tau_values
     must be a list, not a string or an object (whose characters or keys
-    would read as taus).
+    would read as taus), and scenario, output_path and output_format must
+    be strings (a list would read as its printed form).
     """
     errors = [f"unknown config key: {k}" for k in sorted(set(raw) - set(_FIELD_NAMES))]
     if errors:
@@ -87,7 +88,8 @@ def config_from_mapping(raw) -> ScenarioConfig:
                     raise TypeError(value)
                 value = tuple(float(t) for t in value)
             elif key in ("scenario", "output_path", "output_format"):
-                value = str(value)
+                if not isinstance(value, str):
+                    raise TypeError(value)
         except (TypeError, ValueError):
             errors.append(f"{key}: cannot interpret {value!r}")
             continue
@@ -105,7 +107,9 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     """All invariant violations, one message per field; empty list means OK.
 
     Every float must be finite: an infinite tau_max or a NaN tau would
-    otherwise run and write NaN rows.
+    otherwise run and write NaN rows.  So must every pair phase: a tau times
+    the number of levels, of the engine's basis or of the oracles' default
+    series, that overflows would give NaN rows too.
     """
     errors = []
     if config.scenario is None:
@@ -113,7 +117,8 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     elif config.scenario not in SCENARIO_NAMES:
         errors.append(f"scenario: unknown scenario {config.scenario!r}, "
                       f"choose from {', '.join(SCENARIO_NAMES)}")
-    if not (_finite(config.alpha) and config.alpha > 0.0):
+    alpha_ok = _finite(config.alpha) and config.alpha > 0.0
+    if not alpha_ok:
         errors.append(f"alpha: must be a finite positive real number, got {config.alpha!r}")
     if config.parity_r not in (-1, 0, 1):
         errors.append(f"parity_r: must be -1, 0 or +1, got {config.parity_r!r}")
@@ -123,9 +128,9 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         errors.append(f"tau_max: must be finite and positive, got {config.tau_max!r}")
     if not (isinstance(config.tau_steps, int) and config.tau_steps >= 2):
         errors.append(f"tau_steps: must be an integer >= 2, got {config.tau_steps!r}")
-    if config.dim != "auto":
-        if not isinstance(config.dim, int) or config.dim < 2:
-            errors.append(f"dim: must be \"auto\" or an integer >= 2, got {config.dim!r}")
+    dim_ok = config.dim == "auto" or (isinstance(config.dim, int) and config.dim >= 2)
+    if not dim_ok:
+        errors.append(f"dim: must be \"auto\" or an integer >= 2, got {config.dim!r}")
     if config.output_format not in ("csv", "json"):
         errors.append(f"output_format: must be csv or json, got {config.output_format!r}")
     if not config.output_path:
@@ -135,6 +140,11 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             errors.append("tau_values: must contain at least one tau")
         elif not all(_finite(t) and t >= 0.0 for t in config.tau_values):
             errors.append("tau_values: all entries must be finite and >= 0")
+    if alpha_ok and dim_ok:
+        levels = max(resolve_dim(config), fock.default_dim(config.alpha))
+        for name, taus in (("tau_max", [config.tau_max]), ("tau_values", config.tau_values)):
+            if any(_finite(t) and not math.isfinite(t * levels) for t in taus or ()):
+                errors.append(f"{name}: the pair phase tau * {levels} overflows")
     for name in GRID_FIELDS[:4]:
         value = getattr(config, name)
         if value is not None and not _finite(value):

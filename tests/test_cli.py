@@ -5,13 +5,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idjc.cli
 from idjc.cli import main
+from idjc.scenarios import SCENARIO_NAMES
 
 
 def run_cli(*args):
@@ -128,6 +132,13 @@ class TestExitCodes:
         cfg.write_text("{not json")
         assert run_cli("run", "--config", str(cfg)) == 2
 
+    def test_non_utf8_config_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b'{"scenario": "purity-mixture", "output_path": "\xff.csv"}')
+        assert run_cli("run", "--config", str(cfg)) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
 
 QFUNC_ARGS = {"--alpha": "2", "--x-min": "-4", "--x-max": "4", "--y-min": "-4",
               "--y-max": "4", "--nx": "5", "--ny": "5", "--tau-values": "0,0.5"}
@@ -169,6 +180,19 @@ class TestNonFiniteInput:
         assert self.run_qfunc(tmp_path, "--tau-values", value) == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("scenario,flag,value", [
+        ("purity-mixture", "--tau-max", "1e308"),
+        ("inversion-cat", "--tau-max", "1e307"),
+        ("qfunc-mixture", "--tau-values", "0,1e308"),
+    ])
+    def test_overflowing_pair_phase(self, tmp_path, capsys, scenario, flag, value):
+        """A finite tau whose phase tau * dim overflows would write NaN rows."""
+        args = dict(QFUNC_ARGS, **{"--alpha": "1", "--tau-steps": "3", flag: value})
+        assert run_cli("run", "--scenario", scenario, "--out", str(tmp_path / "o.csv"),
+                       *(f"{key}={val}" for key, val in args.items())) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')}: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_null_tau_steps(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "purity-mixture", "tau_steps": None,
@@ -199,6 +223,17 @@ class TestMisreadConfigValues:
         code, err = self.run_config(tmp_path, capsys, **{key: True})
         assert code == 2
         assert f"{key}:" in err
+
+    @pytest.mark.parametrize("key,value", [("output_path", ["a"]), ("scenario", ["qfunc-mixture"]),
+                                           ("output_format", {"csv": 1})])
+    def test_string_field(self, tmp_path, capsys, key, value):
+        """A list path would otherwise be written to a file named by its printed form."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**QFUNC_CONFIG, "output_path": str(tmp_path / "q.csv"),
+                                   key: value}))
+        assert run_cli("run", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == f"error: {key}: cannot interpret {value!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 QFUNC_CONFIG = {"scenario": "qfunc-mixture", "alpha": 2.0, "x_min": -4.0, "x_max": 4.0,
@@ -267,3 +302,64 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert str(out) in proc.stdout
         assert out.exists()
+
+
+# Strategies for the input-gate fuzz.  Every key starts from a small value of
+# its type, the tau fields from huge finite floats too; then up to two keys are
+# left out and up to two get a wrong JSON type or a non-finite float.
+_NOT_STRINGS = (st.booleans() | st.lists(st.integers(0, 3), max_size=2)
+                | st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1)
+                | st.sampled_from([math.nan, math.inf, -math.inf]))
+_TAUS = st.floats(0.0, 10.0, exclude_min=True) | st.floats(1e300, sys.float_info.max)
+
+
+@st.composite
+def _fuzz_configs(draw):
+    x_min, x_max, y_min, y_max = (draw(st.floats(-16.0, 16.0)) for _ in range(4))
+    raw = {
+        "scenario": draw(st.sampled_from(SCENARIO_NAMES)),
+        "alpha": draw(st.floats(0.0, 4.0, exclude_min=True)),
+        "parity_r": draw(st.integers(-1, 1)),
+        "lam": draw(st.floats(0.0, 4.0, exclude_min=True)),
+        "tau_max": draw(_TAUS),
+        "tau_steps": draw(st.integers(2, 16)),
+        "dim": draw(st.just("auto") | st.integers(2, 64)),
+        "tau_values": draw(st.lists(_TAUS, min_size=1, max_size=4)),
+        "x_min": min(x_min, x_max), "x_max": max(x_min, x_max),
+        "y_min": min(y_min, y_max), "y_max": max(y_min, y_max),
+        "nx": draw(st.integers(2, 8)),
+        "ny": draw(st.integers(2, 8)),
+        "output_path": "out.csv",  # put in the temp dir by the test
+        "output_format": draw(st.sampled_from(("csv", "json"))),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(raw.keys() - {"output_path"})),
+                             max_size=2, unique=True)):
+        del raw[key]  # not output_path: its default would write outside the temp dir
+    for key in draw(st.lists(st.sampled_from(sorted(raw)), max_size=2, unique=True)):
+        wrong = _NOT_STRINGS if key == "output_path" else _NOT_STRINGS | st.text(max_size=4)
+        raw[key] = draw(wrong)
+    return raw
+
+
+def _written_numbers(path: Path) -> list[float]:
+    text = path.read_text()
+    if path.suffix == ".json" or text.startswith("{"):
+        return [v for col in json.loads(text)["columns"].values() for v in col]
+    return [float(v) for line in text.splitlines()[1:] for v in line.split(",")]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(raw=_fuzz_configs(), self_check=st.booleans())
+def test_input_gate_fuzz(raw, self_check):
+    """Any flat config exits 0, 2, 3 or 4 without a traceback and writes only finite numbers."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        if isinstance(raw["output_path"], str):
+            raw["output_path"] = str(Path(tmp) / raw["output_path"])
+        cfg.write_text(json.dumps(raw))
+        code = run_cli("run", "--config", str(cfg), *(["--self-check"] if self_check else []))
+        assert code in (0, 2, 3, 4)
+        written = sorted(set(Path(tmp).iterdir()) - {cfg})
+        assert bool(written) == (code == 0)
+        for path in written:
+            assert all(math.isfinite(v) for v in _written_numbers(path)), path.name

@@ -177,6 +177,14 @@ class TestEvolvedCatBranches:
         with pytest.raises(TruncationTooSmall):
             idjc.evolved_cat_branches(idjc.CatSpec(alpha=5.0, parity_r=1), 1.0, 30)
 
+    @pytest.mark.parametrize("alpha", [1e-155, 1e-160, 1e-163, 1e-170])
+    def test_odd_cat_vacuum_limit(self, alpha):
+        """The odd cat is |1> here, although its norm constant overflows."""
+        tau = 0.3
+        stay, flip = idjc.evolved_cat_branches(idjc.CatSpec(alpha=alpha, parity_r=-1), tau, 4)
+        assert np.max(np.abs(stay - [0.0, math.cos(2 * tau), 0.0, 0.0])) < 1e-15
+        assert np.max(np.abs(flip - [0.0, 0.0, -1j * math.sin(2 * tau), 0.0])) < 1e-15
+
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(alpha=st.floats(min_value=0.5, max_value=8.0),

@@ -102,6 +102,11 @@ class TestMakeCat:
         assert idjc.CatSpec(alpha=ALPHA, parity_r=0).norm_const == 1.0
         assert idjc.CatSpec(alpha=0.3, parity_r=-1).norm_const > 0.0
 
+    @pytest.mark.parametrize("alpha", [1e-155, 1e-160, 1e-163, 1e-170])
+    def test_norm_const_beyond_float_range(self, alpha):
+        """The odd constant, about 1/(4 alpha^2), reads inf where it exceeds the float range."""
+        assert idjc.CatSpec(alpha=alpha, parity_r=-1).norm_const == math.inf
+
 
 class TestStateVector:
     def test_rejects_unnormalized(self):
