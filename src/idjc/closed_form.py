@@ -186,6 +186,15 @@ def evolved_cat_branches(spec: CatSpec, tau: float, dim: int):
     return stay, flip
 
 
+def _q_series_terms(peak: float) -> int:
+    """Terms q_mixture_closed sums by default when max |beta| * |alpha| is peak.
+
+    The overlap <beta|n><n|+-a> is Poisson-like with mean |beta a|, so the
+    series is sized as a coherent state of amplitude sqrt(peak), plus margin.
+    """
+    return default_dim(math.sqrt(peak)) + 8
+
+
 def q_mixture_closed(alpha: float, tau: float, beta,
                      n_terms: int | None = None) -> float | np.ndarray:
     """Q of the evolved equal mixture of |a> and |-a>, by direct series.
@@ -201,7 +210,7 @@ def q_mixture_closed(alpha: float, tau: float, beta,
     beta = np.asarray(beta, dtype=complex)
     peak = float(np.max(np.abs(beta), initial=0.0)) * abs(alpha)
     if n_terms is None:
-        n_terms = default_dim(math.sqrt(peak)) + 8
+        n_terms = _q_series_terms(peak)
     _checked_weights(math.sqrt(peak), n_terms)
     n = np.arange(n_terms)
     plus = _coherent_series(alpha, n_terms)

@@ -36,8 +36,10 @@ Both paths take the cos and sin of the pair phases, for one tau or a block
 of taus, from _branch_weights, together with the flip branch's source and
 target levels src and dst: the flip weights and products are sliced to
 them, so the top level's flip, which would leave the basis, is never formed.
-With coherent states as targets the fidelity sum is the Husimi Q of the
-evolved ensemble, which is how :func:`idjc.husimi.q_sweep` builds Q grids.
+The Husimi Q of the evolved ensemble is such a fidelity sum with coherent
+targets; :func:`idjc.husimi.q_sweep` takes it from the branches themselves,
+built once per tau block by _branch_block, so every grid row costs one
+matrix product against them.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ ATOM_GROUND = "ground"
 #: anything sitting there would leak out of the truncated basis.
 DEFAULT_TAIL_LEAK_TOL = 1e-10
 
-#: Taus per block in sweep_branches; bounds its temporaries to a few
-#: (block x dim) real arrays whatever the length of the tau grid.
+#: Taus per block in sweep_branches and husimi.q_sweep; bounds their
+#: temporaries to a few (block x dim) real arrays, or one (block x 2m x dim)
+#: complex one, whatever the length of the tau grid.
 SWEEP_TAU_BLOCK = 64
 
 
@@ -253,6 +256,40 @@ def _abs2(trig: np.ndarray, split: np.ndarray) -> np.ndarray:
     return out[:, :half] ** 2 + out[:, half:] ** 2
 
 
+def _checked_ensemble(components, taus, coupling: str = INTENSITY_DEPENDENT):
+    """Weights, amplitude rows and 1-d taus of an excited-atom pure-state ensemble.
+
+    Inputs are checked once by the rules of EvolutionParams, on the smallest
+    and largest tau, and of evolve_field, on the top-two-level population.
+    """
+    components = list(components)
+    weights = mixture_weights(components)
+    vecs = np.array([psi.amplitudes for _, psi in components])
+    dim = vecs.shape[1]
+    taus = np.array(taus, dtype=float, ndmin=1)
+    if taus.ndim != 1:
+        raise ValueError(f"taus must be one-dimensional, got shape {taus.shape}")
+    for tau in (taus.min(), taus.max()) if taus.size else (0.0,):
+        EvolutionParams(tau=float(tau), dim=dim, coupling=coupling)
+    _check_tail(float(weights @ np.sum(np.abs(vecs[:, -2:]) ** 2, axis=1)))
+    return weights, vecs, taus
+
+
+def _branch_block(vecs: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Stay and flip branches of every component at each tau of a block.
+
+    Intensity-dependent coupling, atom excited.  Shape (taus, 2m, dim) for m amplitude rows: row k is the stay branch
+    cos(phi_n) v_k[n] and row m + k the flip branch -i sin(phi_(n-1)) v_k[n-1],
+    whose top-level flip leaves the basis and is never formed.
+    """
+    m, dim = vecs.shape
+    cos, sin, src, dst = _branch_weights(taus, dim, INTENSITY_DEPENDENT)
+    branches = np.zeros((len(taus), 2 * m, dim), dtype=complex)
+    branches[:, :m] = cos[:, None, :] * vecs
+    branches[:, m:, dst] = -1j * sin[:, None, src] * vecs[:, src]
+    return branches
+
+
 def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
                    targets=()) -> BranchSweep:
     """Purity defect, excited population and target fidelities over a tau grid.
@@ -271,16 +308,8 @@ def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
         F_psi    = sum_k w_k (|<psi|a_k>|^2 + |<psi|b_k>|^2)
         P_e      = sum_k w_k ||a_k||^2
     """
-    components = list(components)
-    weights = mixture_weights(components)
-    vecs = np.array([psi.amplitudes for _, psi in components])
+    weights, vecs, taus = _checked_ensemble(components, taus, coupling)
     dim = vecs.shape[1]
-    taus = np.array(taus, dtype=float, ndmin=1)
-    if taus.ndim != 1:
-        raise ValueError(f"taus must be one-dimensional, got shape {taus.shape}")
-    for tau in (taus.min(), taus.max()) if taus.size else (0.0,):
-        EvolutionParams(tau=float(tau), dim=dim, coupling=coupling)
-    _check_tail(float(weights @ np.sum(np.abs(vecs[:, -2:]) ** 2, axis=1)))
     goals = np.array(targets, dtype=complex)
     if goals.size and goals.shape[1:] != (dim,):
         raise DimMismatch(f"target rows of shape {goals.shape[1:]} != ensemble dim {dim}")

@@ -6,8 +6,11 @@ in log space with the phase tracked separately, so |beta| ~ 10 against
 photon numbers in the hundreds stays well inside double range.
 
 q_grid takes any density matrix.  q_sweep takes an evolving pure-state
-ensemble and a tau grid: Q is the fidelity sum of the stay and flip
-branches of :func:`idjc.dynamics.sweep_branches` with coherent targets.
+ensemble and a tau grid: Q is the weighted sum of the squared coherent
+overlaps of every component's stay and flip branches, which are built once
+per block of SWEEP_TAU_BLOCK taus (block x 2m x dim complex numbers for m
+components) and contracted with each grid row's coherent amplitudes (ny x
+dim) in one matrix product.
 This module is the engine side only: the independent Q series of the
 evolved mixture, which takes one point or an array of them, lives with
 every other series oracle in :mod:`idjc.closed_form`.
@@ -23,7 +26,7 @@ import numpy as np
 # Re-exported because perfbench/checks.py and perfbench/tracer.py call and wrap
 # husimi.q_mixture_closed.
 from .closed_form import q_mixture_closed  # noqa: F401
-from .dynamics import sweep_branches
+from .dynamics import SWEEP_TAU_BLOCK, _branch_block, _checked_ensemble
 from .errors import TruncationTooSmall
 from .fock import DensityMatrix, _coherent_amplitudes, photon_distribution, poisson_tail
 
@@ -129,22 +132,39 @@ def q_grid(rho: DensityMatrix, x_min: float, x_max: float, y_min: float, y_max: 
                  nx=nx, ny=ny, values=values)
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real ** 2 + z.imag ** 2
+
+
 def q_sweep(components, taus, x_min: float, x_max: float, y_min: float, y_max: float,
             nx: int = 161, ny: int = 161, guard_tol: float = DEFAULT_GUARD_TOL) -> list[QGrid]:
     """Q of an evolved pure-state ensemble on a rectangular grid, one QGrid per tau.
 
     components and taus are checked as for :func:`idjc.dynamics.sweep_branches`.
     Equals q_grid of the dense evolved state at each tau, guard included.
+
+    The taus are taken in blocks of SWEEP_TAU_BLOCK.  Each block's stay and
+    flip branches a_k, b_k are built once, and each grid row's coherent
+    amplitudes once per block; then Q = sum_k w_k (|<beta|a_k>|^2 +
+    |<beta|b_k>|^2) / pi for the whole row and block is one matrix product.
+    The guard's top-two population is the same sum over levels dim-2 and
+    dim-1.  Memory: block x 2m x dim complex numbers for m components, plus
+    ny x dim for the row.
     """
-    components = list(components)
     xs, ys, corner_sq = _grid_axes(x_min, x_max, y_min, y_max, nx, ny)
-    dim = components[0][1].dim if components else 0
-    top = sweep_branches(components, taus, targets=np.eye(2, dim, dim - 2)).fidelities.sum(axis=0)
-    _truncation_guard(float(top.max(initial=0.0)), dim, corner_sq, guard_tol)
-    values = np.empty((top.size, nx, ny))
-    for i, x in enumerate(xs):
-        rows = _coherent_amplitudes(x + 1j * ys, dim)
-        values[:, i, :] = sweep_branches(components, taus, targets=rows).fidelities.T / math.pi
+    weights, vecs, taus = _checked_ensemble(components, taus)
+    dim = vecs.shape[1]
+    per_branch = np.tile(weights, 2)  # the stay rows, then the flip rows
+    values = np.empty((taus.size, nx, ny))
+    for start in range(0, taus.size, SWEEP_TAU_BLOCK):
+        block = slice(start, start + SWEEP_TAU_BLOCK)
+        branches = _branch_block(vecs, taus[block])
+        top = _abs2(branches[:, :, -2:]).sum(axis=2) @ per_branch
+        _truncation_guard(float(top.max()), dim, corner_sq, guard_tol)
+        flat = branches.reshape(-1, dim).T
+        for i, x in enumerate(xs):
+            rows = _coherent_amplitudes(x + 1j * ys, dim)
+            overlaps = _abs2(rows.conj() @ flat).reshape(ny, -1, len(per_branch))
+            values[block, i, :] = (overlaps @ per_branch).T / math.pi
     return [QGrid(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max,
                   nx=nx, ny=ny, values=v) for v in values]
-

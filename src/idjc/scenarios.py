@@ -109,7 +109,8 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     Every float must be finite: an infinite tau_max or a NaN tau would
     otherwise run and write NaN rows.  So must every pair phase: a tau times
     the number of levels, of the engine's basis or of the oracles' default
-    series, that overflows would give NaN rows too.
+    series (for qfunc-mixture the Q series out to the grid corner), that
+    overflows would give NaN rows too.
     """
     errors = []
     if config.scenario is None:
@@ -141,7 +142,8 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         elif not all(_finite(t) and t >= 0.0 for t in config.tau_values):
             errors.append("tau_values: all entries must be finite and >= 0")
     if alpha_ok and dim_ok:
-        levels = max(resolve_dim(config), fock.default_dim(config.alpha))
+        levels = max(resolve_dim(config), fock.default_dim(config.alpha),
+                     _q_series_levels(config))
         for name, taus in (("tau_max", [config.tau_max]), ("tau_values", config.tau_values)):
             if any(_finite(t) and not math.isfinite(t * levels) for t in taus or ()):
                 errors.append(f"{name}: the pair phase tau * {levels} overflows")
@@ -162,6 +164,21 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     return errors
 
 
+def _q_series_levels(config: ScenarioConfig) -> int:
+    """Terms of the qfunc-mixture Q oracle out to the grid corner; 0 for any other run.
+
+    A grid that is missing or invalid counts 0 here; validate_config reports it.
+    """
+    grid = [getattr(config, name) for name in GRID_FIELDS]
+    if config.scenario != "qfunc-mixture" or None in grid:
+        return 0
+    try:
+        *_, corner_sq = husimi._grid_axes(*grid)
+    except ValueError:
+        return 0
+    return closed_form._q_series_terms(math.sqrt(corner_sq) * config.alpha)
+
+
 def resolve_dim(config: ScenarioConfig) -> int:
     if config.dim == "auto":
         return fock.default_dim(config.alpha)
@@ -178,8 +195,31 @@ def _coherent_mixture(alpha: float, dim: int) -> list[tuple[float, fock.StateVec
     return [(0.5, fock.make_coherent(alpha, dim)), (0.5, fock.make_coherent(-alpha, dim))]
 
 
-def _write_csv(path: Path, header, columns) -> None:
-    cells = [map("{:.17g}".format, np.asarray(col, dtype=float).tolist()) for col in columns]
+def _csv_formatter(tables):
+    """col -> its CSV cells, for the columns of one run's tables.
+
+    A column object that several tables share, like the x and y columns of
+    qfunc-mixture, is formatted once and kept; any other is formatted lazily
+    as it is written.  The memo lives with the returned function, so no run
+    sees another's; its id keys hold because tables keeps every column alive.
+    """
+    uses = [id(col) for _, columns, _ in tables for col in columns]
+    memo = {}
+
+    def cells(col):
+        key = id(col)
+        if key not in memo:
+            formatted = map("{:.17g}".format, np.asarray(col, dtype=float).tolist())
+            if uses.count(key) == 1:
+                return formatted
+            memo[key] = list(formatted)
+        return memo[key]
+
+    return cells
+
+
+def _write_csv(path: Path, header, cells) -> None:
+    """One CSV table from its header and each column's formatted cells."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
@@ -247,10 +287,11 @@ def _run_qfunc_mixture(config, dim, self_check):
     taus = config.tau_values if config.tau_values is not None else DEFAULT_QFUNC_TAUS
     grids = husimi.q_sweep(_coherent_mixture(config.alpha, dim), taus, config.x_min,
                            config.x_max, config.y_min, config.y_max, config.nx, config.ny)
+    # one x and one y column object for every grid, so run_scenario formats each once
+    x_col = np.repeat(np.linspace(config.x_min, config.x_max, config.nx), config.ny)
+    y_col = np.tile(np.linspace(config.y_min, config.y_max, config.ny), config.nx)
     outputs = []
     for tau, grid in zip(taus, grids):
-        x_col = np.repeat(grid.xs, config.ny)
-        y_col = np.tile(grid.ys, config.nx)
         q_col = grid.values.reshape(-1)
         if self_check:
             _qfunc_self_check(config, tau, x_col, y_col, q_col)
@@ -342,11 +383,12 @@ def run_scenario(config: ScenarioConfig, self_check: bool = False) -> list[Path]
     tables = _RUNNERS[config.scenario](config, dim, self_check)
     paths = _output_paths(config, len(tables))
     temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    cells = _csv_formatter(tables)
     placed = []
     try:
         for temp, (header, columns, extra) in zip(temps, tables):
             if config.output_format == "csv":
-                _write_csv(temp, header, columns)
+                _write_csv(temp, header, [cells(col) for col in columns])
             else:
                 _write_json(temp, header, columns, _metadata(config, dim, extra))
         for temp, path in zip(temps, paths):

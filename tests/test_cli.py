@@ -193,6 +193,15 @@ class TestNonFiniteInput:
         assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')}: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_q_series_phase(self, tmp_path, capsys):
+        """tau * 18 fits the engine's basis, but the Q oracle's 82 terms out to the corner do not."""
+        args = ["--alpha", "1", "--x-min=-16", "--x-max", "16", "--y-min=-16", "--y-max", "16",
+                "--nx", "5", "--ny", "5", "--tau-values", "6e306", "--self-check"]
+        assert run_cli("run", "--scenario", "qfunc-mixture", "--out", str(tmp_path / "q.csv"),
+                       *args) == 2
+        assert capsys.readouterr().err.startswith("error: tau_values: the pair phase tau * 82 ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_null_tau_steps(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "purity-mixture", "tau_steps": None,

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import idjc
 from idjc import closed_form, dynamics, husimi
 from idjc.cli import main
 from idjc.errors import ConfigError, SelfCheckFailed
@@ -139,6 +140,44 @@ class TestQfuncMixtureScenario:
                           tau_values=(0.5,))
         paths = run_scenario(cfg)
         assert len(paths) == 1 and paths[0].name == "out.csv"
+
+    @staticmethod
+    def expected_tables(cfg):
+        """Each grid's own x, y and q columns, from the engine directly."""
+        grids = husimi.q_sweep(
+            [(0.5, idjc.make_coherent(cfg.alpha, resolve_dim(cfg))),
+             (0.5, idjc.make_coherent(-cfg.alpha, resolve_dim(cfg)))],
+            cfg.tau_values, cfg.x_min, cfg.x_max, cfg.y_min, cfg.y_max, cfg.nx, cfg.ny)
+        return [(np.repeat(g.xs, g.ny), np.tile(g.ys, g.nx), g.values.reshape(-1))
+                for g in grids]
+
+    def test_csv_cells_belong_to_their_own_run(self, tmp_path):
+        """Two runs in one process, on different grids: no formatted column outlives its run."""
+        runs = [
+            base_config(tmp_path, "qfunc-mixture", alpha=2.0, x_min=-4.0, x_max=4.0,
+                        y_min=-3.0, y_max=5.0, nx=7, ny=5, tau_values=(0.0, 0.4, 1.1),
+                        output_path=str(tmp_path / "a.csv")),
+            base_config(tmp_path, "qfunc-mixture", alpha=2.0, x_min=-5.0, x_max=3.0,
+                        y_min=-4.0, y_max=4.0, nx=4, ny=6, tau_values=(0.2, 0.9),
+                        output_path=str(tmp_path / "b.csv")),
+        ]
+        for cfg in runs + runs:  # freed columns' ids get reused by the next run's
+            paths = run_scenario(cfg)
+            tables = self.expected_tables(cfg)
+            assert len(paths) == len(tables) == len(cfg.tau_values)
+            for path, columns in zip(paths, tables):
+                rows = ("".join(",".join(format(v, ".17g") for v in row) + "\n"
+                                for row in zip(*columns)))
+                assert path.read_text() == "x,y,q\n" + rows
+
+    def test_json_carries_each_grid(self, tmp_path):
+        cfg = base_config(tmp_path, "qfunc-mixture", alpha=2.0, x_min=-4.0, x_max=4.0,
+                          y_min=-3.0, y_max=5.0, nx=7, ny=5, tau_values=(0.0, 0.7),
+                          output_path=str(tmp_path / "q.json"), output_format="json")
+        paths = run_scenario(cfg)
+        for path, (x, y, q) in zip(paths, self.expected_tables(cfg), strict=True):
+            columns = json.loads(path.read_text())["columns"]
+            assert columns == {"x": x.tolist(), "y": y.tolist(), "q": q.tolist()}
 
 
 class TestCatTransitionScenario:

@@ -153,6 +153,66 @@ def test_q_sweep_rejects_bad_grid():
         idjc.q_sweep(components, [0.1], 1.0, -1.0, -1.0, 1.0, 10, 10)
 
 
+def test_q_sweep_spanning_several_tau_blocks():
+    rng = np.random.default_rng(11)
+    components = random_ensemble(rng, 3, 12, support=10, top_pop=2e-11)
+    taus = np.linspace(0.0, 2.5 * math.pi, 2 * idjc.dynamics.SWEEP_TAU_BLOCK + 3)
+    window = (-3.0, 2.0, -2.5, 3.0, 4, 3)
+    grids = idjc.q_sweep(components, taus, *window, guard_tol=math.inf)
+    rho0 = idjc.mix([(w, idjc.pure_density(psi)) for w, psi in components])
+    assert len(grids) == taus.size
+    for tau, grid in zip(taus, grids):
+        rho = idjc.evolve_field(rho0, idjc.EvolutionParams(tau=float(tau), dim=12))
+        want = idjc.q_grid(rho, *window, guard_tol=math.inf)
+        assert np.max(np.abs(grid.values - want.values)) < 1e-12
+
+
+def test_q_sweep_of_no_taus():
+    components = [(1.0, idjc.make_coherent(1.0))]
+    assert idjc.q_sweep(components, [], -1.0, 1.0, -1.0, 1.0, 3, 3) == []
+
+
+@pytest.mark.parametrize("fault,expected", [
+    ("nan_tau", ValueError), ("negative_tau", ValueError), ("two_dim_taus", ValueError),
+    ("tail", TailLeak), ("component_dim", DimMismatch), ("weights", WeightMismatch),
+])
+def test_q_sweep_raises_where_sweep_raises(fault, expected):
+    """q_sweep runs the sweep's own input checks, so each bad input raises the same type."""
+    rng = np.random.default_rng(5)
+    components = random_ensemble(rng, 2, 10, support=8)
+    taus = {"nan_tau": [0.3, math.nan], "negative_tau": [-0.1],
+            "two_dim_taus": [[0.1, 0.2]]}.get(fault, [0.3])
+    if fault == "tail":
+        components[1] = (components[1][0], random_state(rng, 10, 10))
+    elif fault == "component_dim":
+        components[1] = (components[1][0], random_state(rng, 11, 9))
+    elif fault == "weights":
+        components = [(0.7, psi) for _, psi in components]
+    with pytest.raises(expected) as swept:
+        idjc.sweep_branches(components, taus)
+    with pytest.raises(expected) as gridded:
+        idjc.q_sweep(components, taus, -2.0, 2.0, -2.0, 2.0, 3, 3, guard_tol=math.inf)
+    assert gridded.type is swept.type
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31), n_parts=st.integers(1, 3), dim=st.integers(3, 24),
+       top_pop=st.sampled_from([0.0, 2e-11]))
+def test_q_sweep_guard_reads_top_population_off_the_branches(seed, n_parts, dim, top_pop):
+    """The population q_sweep hands the guard is the top-two-level fidelity sum."""
+    rng = np.random.default_rng(seed)
+    components = random_ensemble(rng, n_parts, dim, support=dim - 2, top_pop=top_pop)
+    taus = rng.uniform(0.0, 3.0 * math.pi, size=5)
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(idjc.husimi, "_truncation_guard", lambda top, *_: seen.append(top))
+        for tau in taus:
+            idjc.q_sweep(components, [tau], -1.0, 1.0, -1.0, 1.0, 2, 2)
+    want = idjc.sweep_branches(components, taus,
+                               targets=np.eye(2, dim, dim - 2)).fidelities.sum(axis=0)
+    assert np.max(np.abs(np.array(seen) - want)) < 1e-15
+
+
 class TestInputChecks:
     @pytest.fixture
     def components(self):
