@@ -19,7 +19,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import InvalidCat, TruncationTooSmall
+from .errors import TruncationTooSmall
 from .fock import CatSpec, default_dim
 
 #: Largest Poisson weight mass a truncated series may miss.
@@ -39,13 +39,16 @@ def poisson_weights(alpha: float, n_terms: int) -> np.ndarray:
     return np.exp(-mean + n * math.log(mean) - gammaln(n + 1))
 
 
+def _check_series(series: str, mass: float, alpha, n_terms: int) -> None:
+    """Reject a series of amplitude alpha whose n_terms miss SERIES_TAIL_TOL of its mass."""
+    if not 1.0 - mass < SERIES_TAIL_TOL:
+        raise TruncationTooSmall(f"{series} series at amplitude {alpha:g} misses "
+                                 f"{1.0 - mass:.3e} of its mass in {n_terms} terms")
+
+
 def _checked_weights(alpha: float, n_terms: int) -> np.ndarray:
     w = poisson_weights(alpha, n_terms)
-    tail = 1.0 - float(w.sum())
-    if not tail < SERIES_TAIL_TOL:
-        raise TruncationTooSmall(
-            f"Poisson tail beyond {n_terms} terms is {tail:.3e} at amplitude {alpha:g}"
-        )
+    _check_series("Poisson", float(w.sum()), alpha, n_terms)
     return w
 
 
@@ -103,23 +106,19 @@ def inversion_cat_closed(alpha: float, parity_r: int, tau: float) -> float:
 
     The denominator enters to the first power (it is the squared norm of the
     unnormalized superposition); that is what makes W(0) = +1 exactly, as the
-    excited initial atom requires.  For r = -1 numerator and denominator
-    both vanish like a^2, which :func:`_odd_cat_inversion` divides out.
+    excited initial atom requires.  CatSpec(alpha, parity_r) checks the inputs
+    and gives the bracket, as 1 / norm_const; for r = -1 numerator and
+    denominator both vanish like a^2, which :func:`_odd_cat_inversion` divides out.
     """
-    if parity_r not in (-1, 0, 1):
-        raise InvalidCat(f"parity_r must be -1, 0 or +1, got {parity_r!r}")
-    alpha = float(alpha)
-    if parity_r == -1 and alpha == 0.0:
-        raise InvalidCat("odd superposition with alpha = 0 is the null vector")
-    a_sq = alpha**2
+    spec = CatSpec(alpha, parity_r)
+    a_sq = float(alpha) ** 2
     if parity_r == -1:
         return _odd_cat_inversion(a_sq, tau)
-    bracket = 1.0 + parity_r**2 + 2.0 * parity_r * math.exp(-2.0 * a_sq)
     main = (1.0 + parity_r**2) * math.exp(-2.0 * a_sq * math.sin(tau) ** 2) \
         * math.cos(a_sq * math.sin(2.0 * tau) + 2.0 * tau)
     cross = 2.0 * parity_r * math.exp(-2.0 * a_sq * math.cos(tau) ** 2) \
         * math.cos(a_sq * math.sin(2.0 * tau) - 2.0 * tau)
-    return (main + cross) / bracket
+    return (main + cross) * spec.norm_const
 
 
 def _sinc(x: float) -> float:
@@ -160,10 +159,8 @@ def evolved_cat_branches(spec: CatSpec, tau: float, dim: int):
     flip[n] is the photon-added branch, -i sin(tau*n) on the amplitudes
     shifted up one level.  Squared norms add to one (the atom is excited or
     ground, nothing else), up to the truncation tail, which must stay below
-    SERIES_TAIL_TOL.
+    SERIES_TAIL_TOL (a dim below 1 holds none of the norm).
     """
-    if dim < 1:
-        raise TruncationTooSmall(f"dim must be >= 1, got {dim}")
     n = np.arange(dim)
     base = _coherent_series(spec.alpha, dim)
     if spec.parity_r == -1:
@@ -175,11 +172,7 @@ def evolved_cat_branches(spec: CatSpec, tau: float, dim: int):
     else:
         scale = math.sqrt(spec.norm_const)
     base = base * (1.0 + spec.parity_r * (-1.0) ** n) * scale
-    held = float(np.vdot(base, base).real)
-    if not 1.0 - held < SERIES_TAIL_TOL:
-        raise TruncationTooSmall(
-            f"superposition holds only {held!r} of its norm in dim={dim}"
-        )
+    _check_series("superposition", float(np.vdot(base, base).real), spec.alpha, dim)
     stay = base * np.cos(tau * (n + 1.0))
     flip = np.zeros(dim, dtype=complex)
     flip[1:] = -1j * np.sin(tau * n[1:].astype(float)) * base[:-1]

@@ -37,9 +37,9 @@ of taus, from _branch_weights, together with the flip branch's source and
 target levels src and dst: the flip weights and products are sliced to
 them, so the top level's flip, which would leave the basis, is never formed.
 The Husimi Q of the evolved ensemble is such a fidelity sum with coherent
-targets; :func:`idjc.husimi.q_sweep` takes it from the branches themselves,
-built once per tau block by _branch_block, so every grid row costs one
-matrix product against them.
+targets; :func:`idjc.husimi.q_sweep` takes it from the branches that
+_branch_block builds per tau block, one matrix product per grid row.  Both
+sweeps walk their tau blocks through _tau_blocks: this module owns the walk.
 """
 
 from __future__ import annotations
@@ -62,9 +62,8 @@ ATOM_GROUND = "ground"
 #: anything sitting there would leak out of the truncated basis.
 DEFAULT_TAIL_LEAK_TOL = 1e-10
 
-#: Taus per block in sweep_branches and husimi.q_sweep; bounds their
-#: temporaries to a few (block x dim) real arrays, or one (block x 2m x dim)
-#: complex one, whatever the length of the tau grid.
+#: Taus per block of _tau_blocks, the one walk of sweep_branches and husimi.q_sweep:
+#: their temporaries stay (block x dim) or (block x 2m x dim), whatever the tau count.
 SWEEP_TAU_BLOCK = 64
 
 
@@ -275,6 +274,11 @@ def _checked_ensemble(components, taus, coupling: str = INTENSITY_DEPENDENT):
     return weights, vecs, taus
 
 
+def _tau_blocks(n_taus: int):
+    """Slices of SWEEP_TAU_BLOCK consecutive taus, the last maybe shorter, covering n_taus."""
+    return (slice(s, s + SWEEP_TAU_BLOCK) for s in range(0, n_taus, SWEEP_TAU_BLOCK))
+
+
 def _branch_block(vecs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Stay and flip branches of every component at each tau of a block.
 
@@ -325,8 +329,7 @@ def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
     purity = np.empty(taus.size)
     excited = np.empty(taus.size)
     fids = np.empty((taus.size, len(goals)))
-    for start in range(0, taus.size, SWEEP_TAU_BLOCK):
-        block = slice(start, start + SWEEP_TAU_BLOCK)
+    for block in _tau_blocks(taus.size):
         cos, sin, _, _ = _branch_weights(taus[block], dim, coupling)
         cos2, flip = cos * cos, sin[:, src]
         overlaps = (_abs2(cos2, same) + _abs2(flip * flip, same[src])

@@ -166,7 +166,7 @@ class CatSpec:
 
     @property
     def norm_const(self) -> float:
-        """Normalization constant: 1 / (1 + r^2 + 2 r exp(-2 |alpha|^2)).
+        """1 / (1 + r^2 + 2 r exp(-2 |alpha|^2)), read by both cat oracles of closed_form.
 
         The bracket is written (1 + r)^2 + 2 r expm1(-2 |alpha|^2), so the
         odd case keeps its precision at small |alpha|.  Its odd value, about
@@ -226,11 +226,10 @@ def make_cat(spec: CatSpec, dim: int | None = None,
     which vanishes identically on the opposite parity sector, so for
     r = +1 (-1) the odd (even) amplitudes are exact zeros, not merely small.
     """
-    alpha = complex(spec.alpha)
     if dim is None:
-        dim = default_dim(alpha)
-    _check_truncation(alpha, dim, tail_tol)
-    base = _coherent_amplitudes(alpha, dim)[0]
+        dim = default_dim(spec.alpha)
+    _check_truncation(spec.alpha, dim, tail_tol)
+    base = _coherent_amplitudes(spec.alpha, dim)[0]
     parity_factor = 1.0 + spec.parity_r * (-1.0) ** np.arange(dim)
     return StateVector.normalized(base * parity_factor)
 

@@ -7,10 +7,9 @@ photon numbers in the hundreds stays well inside double range.
 
 q_grid takes any density matrix.  q_sweep takes an evolving pure-state
 ensemble and a tau grid: Q is the weighted sum of the squared coherent
-overlaps of every component's stay and flip branches, which are built once
-per block of SWEEP_TAU_BLOCK taus (block x 2m x dim complex numbers for m
-components) and contracted with each grid row's coherent amplitudes (ny x
-dim) in one matrix product.
+overlaps of every component's stay and flip branches, built once per tau
+block and contracted with each grid row's coherent amplitudes in one matrix
+product; :mod:`idjc.dynamics` owns the block walk and the block size.
 This module is the engine side only: the independent Q series of the
 evolved mixture, which takes one point or an array of them, lives with
 every other series oracle in :mod:`idjc.closed_form`.
@@ -26,7 +25,7 @@ import numpy as np
 # Re-exported because perfbench/checks.py and perfbench/tracer.py call and wrap
 # husimi.q_mixture_closed.
 from .closed_form import q_mixture_closed  # noqa: F401
-from .dynamics import SWEEP_TAU_BLOCK, _branch_block, _checked_ensemble
+from .dynamics import _branch_block, _checked_ensemble, _tau_blocks
 from .errors import TruncationTooSmall
 from .fock import DensityMatrix, _coherent_amplitudes, photon_distribution, poisson_tail
 
@@ -143,10 +142,10 @@ def q_sweep(components, taus, x_min: float, x_max: float, y_min: float, y_max: f
     components and taus are checked as for :func:`idjc.dynamics.sweep_branches`.
     Equals q_grid of the dense evolved state at each tau, guard included.
 
-    The taus are taken in blocks of SWEEP_TAU_BLOCK.  Each block's stay and
-    flip branches a_k, b_k are built once, and each grid row's coherent
-    amplitudes once per block; then Q = sum_k w_k (|<beta|a_k>|^2 +
-    |<beta|b_k>|^2) / pi for the whole row and block is one matrix product.
+    The taus are taken in the blocks of dynamics._tau_blocks.  Each block's
+    stay and flip branches a_k, b_k are built once, and each grid row's
+    coherent amplitudes once per block; then Q = sum_k w_k (|<beta|a_k>|^2
+    + |<beta|b_k>|^2) / pi for the whole row and block is one matrix product.
     The guard's top-two population is the same sum over levels dim-2 and
     dim-1.  Memory: block x 2m x dim complex numbers for m components, plus
     ny x dim for the row.
@@ -156,8 +155,7 @@ def q_sweep(components, taus, x_min: float, x_max: float, y_min: float, y_max: f
     dim = vecs.shape[1]
     per_branch = np.tile(weights, 2)  # the stay rows, then the flip rows
     values = np.empty((taus.size, nx, ny))
-    for start in range(0, taus.size, SWEEP_TAU_BLOCK):
-        block = slice(start, start + SWEEP_TAU_BLOCK)
+    for block in _tau_blocks(taus.size):
         branches = _branch_block(vecs, taus[block])
         top = _abs2(branches[:, :, -2:]).sum(axis=2) @ per_branch
         _truncation_guard(float(top.max()), dim, corner_sq, guard_tol)

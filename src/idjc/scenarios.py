@@ -90,7 +90,7 @@ def config_from_mapping(raw) -> ScenarioConfig:
             elif key in ("scenario", "output_path", "output_format"):
                 if not isinstance(value, str):
                     raise TypeError(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int no float holds
             errors.append(f"{key}: cannot interpret {value!r}")
             continue
         kwargs[key] = value
@@ -118,9 +118,10 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     elif config.scenario not in SCENARIO_NAMES:
         errors.append(f"scenario: unknown scenario {config.scenario!r}, "
                       f"choose from {', '.join(SCENARIO_NAMES)}")
-    alpha_ok = _finite(config.alpha) and config.alpha > 0.0
+    alpha_ok = (_finite(config.alpha) and config.alpha > 0.0
+                and math.isfinite(float(config.alpha) * config.alpha))  # default_dim squares it
     if not alpha_ok:
-        errors.append(f"alpha: must be a finite positive real number, got {config.alpha!r}")
+        errors.append(f"alpha: must be a positive real with a finite square, got {config.alpha!r}")
     if config.parity_r not in (-1, 0, 1):
         errors.append(f"parity_r: must be -1, 0 or +1, got {config.parity_r!r}")
     if not (_finite(config.lam) and config.lam > 0.0):

@@ -1,5 +1,7 @@
 """CLI flag handling, config files and exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -202,6 +204,16 @@ class TestNonFiniteInput:
         assert capsys.readouterr().err.startswith("error: tau_values: the pair phase tau * 82 ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+    @pytest.mark.parametrize("value", ["2e154", "1.7976931348623157e308"])
+    def test_overflowing_alpha_square(self, tmp_path, capsys, scenario, value):
+        """A finite alpha whose square overflows cannot size dim."""
+        args = dict(QFUNC_ARGS, **{"--alpha": value, "--tau-steps": "3"})
+        assert run_cli("run", "--scenario", scenario, "--out", str(tmp_path / "o.csv"),
+                       *(f"{key}={val}" for key, val in args.items())) == 2
+        assert capsys.readouterr().err.startswith("error: alpha: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_null_tau_steps(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "purity-mixture", "tau_steps": None,
@@ -226,6 +238,15 @@ class TestMisreadConfigValues:
         code, err = self.run_config(tmp_path, capsys, tau_values=value)
         assert code == 2
         assert "tau_values:" in err
+
+    @pytest.mark.parametrize("key", ["alpha", "lam", "tau_max", "x_min", "tau_values"])
+    def test_integer_beyond_float_range(self, tmp_path, capsys, key):
+        """A JSON integer that no float holds would otherwise end in a traceback."""
+        huge = 10 ** 400
+        code, err = self.run_config(tmp_path, capsys,
+                                    **{key: [huge] if key == "tau_values" else huge})
+        assert code == 2
+        assert err.startswith(f"error: {key}: cannot interpret ")
 
     @pytest.mark.parametrize("key", ["alpha", "parity_r", "lam", "x_min"])
     def test_boolean_number(self, tmp_path, capsys, key):
@@ -372,3 +393,18 @@ def test_input_gate_fuzz(raw, self_check):
         assert bool(written) == (code == 0)
         for path in written:
             assert all(math.isfinite(v) for v in _written_numbers(path)), path.name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alpha=st.floats(1.35e154, sys.float_info.max), scenario=st.sampled_from(SCENARIO_NAMES),
+       self_check=st.booleans())
+def test_overflowing_alpha_fuzz(alpha, scenario, self_check):
+    """Every alpha whose square overflows exits 2 with an alpha error and writes nothing."""
+    args = dict(QFUNC_ARGS, **{"--alpha": repr(alpha), "--tau-steps": "3"})
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run_cli("run", "--scenario", scenario, "--out", str(Path(tmp) / "o.csv"),
+                       *(f"{key}={val}" for key, val in args.items()),
+                       *(["--self-check"] if self_check else []))
+        assert list(Path(tmp).iterdir()) == []
+    assert code == 2
+    assert err.getvalue().startswith("error: alpha: ")

@@ -114,6 +114,51 @@ class TestInversionCatClosed:
         with pytest.raises(InvalidCat):
             idjc.inversion_cat_closed(1.0, 3, 1.0)
 
+    @pytest.mark.parametrize("alpha,parity_r", [(0.0, -1), (1.0, 2), (1.0, 0.5)])
+    def test_invalid_inputs_as_catspec(self, alpha, parity_r):
+        """CatSpec owns the rule: the oracle raises exactly its error."""
+        with pytest.raises(InvalidCat) as from_spec:
+            idjc.CatSpec(alpha, parity_r)
+        with pytest.raises(InvalidCat) as from_oracle:
+            idjc.inversion_cat_closed(alpha, parity_r, 1.0)
+        assert str(from_oracle.value) == str(from_spec.value)
+
+    @pytest.mark.parametrize("parity_r", [0, 1])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
+    def test_norm_const_bracket_keeps_the_values(self, alpha, parity_r):
+        """The bracket of CatSpec.norm_const moves no value by more than 2 ulp."""
+        for tau in np.linspace(0.0, 2.0 * math.pi, 200):
+            got = idjc.inversion_cat_closed(alpha, parity_r, tau)
+            ref = exp_bracket_inversion(alpha, parity_r, tau)
+            assert abs(got - ref) <= 2.0 * math.ulp(max(abs(got), abs(ref)))
+
+
+def exp_bracket_inversion(alpha: float, r: int, tau: float) -> float:
+    """The r = 0 or 1 inversion over its bracket written 1 + r^2 + 2 r exp(-2 a^2)."""
+    a_sq = alpha**2
+    bracket = 1.0 + r**2 + 2.0 * r * math.exp(-2.0 * a_sq)
+    main = (1.0 + r**2) * math.exp(-2.0 * a_sq * math.sin(tau) ** 2) \
+        * math.cos(a_sq * math.sin(2.0 * tau) + 2.0 * tau)
+    cross = 2.0 * r * math.exp(-2.0 * a_sq * math.cos(tau) ** 2) \
+        * math.cos(a_sq * math.sin(2.0 * tau) - 2.0 * tau)
+    return (main + cross) / bracket
+
+
+def _cat_branches(n_terms):
+    return idjc.evolved_cat_branches(idjc.CatSpec(alpha=ALPHA, parity_r=1), 1.0, n_terms)
+
+
+@pytest.mark.parametrize("series,call,n_terms", [
+    ("Poisson", lambda n: idjc.purity_mixture_closed(ALPHA, 1.0, n_terms=n), 30),
+    ("superposition", _cat_branches, 30),
+    ("superposition", _cat_branches, 0),
+])
+def test_series_truncation_has_one_message_format(series, call, n_terms):
+    """Both truncated series are rejected by one check, which names the series."""
+    pattern = rf"^{series} series at amplitude \S+ misses \S+ of its mass in {n_terms} terms$"
+    with pytest.raises(TruncationTooSmall, match=pattern):
+        call(n_terms)
+
 
 class TestEvolvedCatBranches:
     def test_initial_state_at_zero(self):

@@ -1,0 +1,57 @@
+"""Architecture rules of src/idjc, checked on its parsed source: one owner per rule."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "idjc"
+TREES = {path.stem: ast.parse(path.read_text(), filename=str(path))
+         for path in sorted(SRC.glob("*.py"))}
+
+
+def package_imports(tree: ast.AST) -> set[tuple[str, str]]:
+    """(module, name) for every import from inside idjc; name is "" for a whole module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("idjc"):
+                continue
+            module = module.removeprefix("idjc").lstrip(".")
+            for alias in node.names:
+                found.add((module, alias.name) if module else (alias.name, ""))
+        elif isinstance(node, ast.Import):
+            found |= {(alias.name.removeprefix("idjc."), "") for alias in node.names
+                      if alias.name.startswith("idjc.")}
+    return found
+
+
+def mentions(node: ast.AST, name: str) -> bool:
+    """Whether name occurs under node as a variable, an attribute or an imported name."""
+    return any((isinstance(sub, ast.Name) and sub.id == name)
+               or (isinstance(sub, ast.Attribute) and sub.attr == name)
+               or (isinstance(sub, ast.alias) and sub.name == name)
+               for sub in ast.walk(node))
+
+
+def test_closed_form_imports_only_catspec_and_default_dim_from_the_engine():
+    imports = package_imports(TREES["closed_form"])
+    assert not {module for module, _ in imports} & {"dynamics", "husimi", "scenarios"}
+    assert {name for module, name in imports if module == "fock"} == {"CatSpec", "default_dim"}
+
+
+def test_invalid_cat_is_raised_only_by_catspec():
+    raisers = {stem for stem, tree in TREES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Raise) and node.exc is not None
+               and mentions(node.exc, "InvalidCat")}
+    assert raisers == {"fock"}
+
+
+def test_series_tail_tol_is_compared_once():
+    compares = [(stem, node.lineno) for stem, tree in TREES.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Compare) and mentions(node, "SERIES_TAIL_TOL")]
+    assert len(compares) == 1, compares
+
+
+def test_sweep_tau_block_is_referenced_only_in_dynamics():
+    users = {stem for stem, tree in TREES.items() if mentions(tree, "SWEEP_TAU_BLOCK")}
+    assert users == {"dynamics"}

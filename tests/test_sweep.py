@@ -91,6 +91,16 @@ def test_raises_where_dense_path_raises(seed, dim, coupling, fault):
                             targets=[t.amplitudes for t in targets])
 
 
+@pytest.mark.parametrize("n_taus", [0, 1, 63, 64, 65, 3 * 64 + 5])
+def test_tau_blocks_cover_each_tau_once(n_taus):
+    """The one block walk: full blocks of SWEEP_TAU_BLOCK, then the rest, in order."""
+    taus = range(n_taus)
+    blocks = [taus[block] for block in idjc.dynamics._tau_blocks(n_taus)]
+    assert [t for block in blocks for t in block] == list(taus)
+    assert all(len(block) == idjc.dynamics.SWEEP_TAU_BLOCK for block in blocks[:-1])
+    assert all(len(block) > 0 for block in blocks)
+
+
 def test_grid_spanning_several_tau_blocks():
     rng = np.random.default_rng(7)
     components = random_ensemble(rng, 2, 16, support=14)
