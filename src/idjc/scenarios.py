@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -58,7 +59,7 @@ _FLOAT_FIELDS = ("alpha", "lam", "tau_max", "x_min", "x_max", "y_min", "y_max")
 
 
 def config_from_mapping(raw) -> ScenarioConfig:
-    """Build a ScenarioConfig from a flat mapping (parsed JSON or CLI overrides).
+    """Build a ScenarioConfig from a flat mapping: parsed JSON, CLI overrides or a library config.
 
     Unknown keys are errors: a misspelled key would otherwise silently fall
     back to a default and corrupt a reproduction run.  For the same reason a
@@ -100,18 +101,28 @@ def config_from_mapping(raw) -> ScenarioConfig:
 
 
 def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    return value is not None and math.isfinite(value)
 
 
 def validate_config(config: ScenarioConfig) -> list[str]:
     """All invariant violations, one message per field; empty list means OK.
 
-    Every float must be finite: an infinite tau_max or a NaN tau would
-    otherwise run and write NaN rows.  So must every pair phase: a tau times
-    the number of levels, of the engine's basis or of the oracles' default
-    series (for qfunc-mixture the Q series out to the grid corner), that
-    overflows would give NaN rows too.
+    The config is first read as a config file is, by config_from_mapping, whose
+    errors are the verdict if it fails.  Every float must be finite: an
+    infinite tau_max or a NaN tau would otherwise run and write NaN rows.  So
+    must every pair phase: a tau times the number of levels, of the engine's
+    basis or of the oracles' default series (for qfunc-mixture the Q series
+    out to the grid corner), that overflows would give NaN rows too.
     """
+    return _read_and_check(config)[1]
+
+
+def _read_and_check(config: ScenarioConfig) -> tuple[ScenarioConfig, list[str]]:
+    """The config as config_from_mapping reads it, and validate_config's verdict on it."""
+    try:
+        config = config_from_mapping(asdict(config))
+    except ConfigError as exc:
+        return config, exc.field_errors
     errors = []
     if config.scenario is None:
         errors.append("scenario: required")
@@ -119,7 +130,7 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         errors.append(f"scenario: unknown scenario {config.scenario!r}, "
                       f"choose from {', '.join(SCENARIO_NAMES)}")
     alpha_ok = (_finite(config.alpha) and config.alpha > 0.0
-                and math.isfinite(float(config.alpha) * config.alpha))  # default_dim squares it
+                and math.isfinite(config.alpha * config.alpha))  # default_dim squares it
     if not alpha_ok:
         errors.append(f"alpha: must be a positive real with a finite square, got {config.alpha!r}")
     if config.parity_r not in (-1, 0, 1):
@@ -128,9 +139,9 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         errors.append(f"lam: coupling constant must be finite and positive, got {config.lam!r}")
     if not (_finite(config.tau_max) and config.tau_max > 0.0):
         errors.append(f"tau_max: must be finite and positive, got {config.tau_max!r}")
-    if not (isinstance(config.tau_steps, int) and config.tau_steps >= 2):
+    if not (config.tau_steps is not None and config.tau_steps >= 2):
         errors.append(f"tau_steps: must be an integer >= 2, got {config.tau_steps!r}")
-    dim_ok = config.dim == "auto" or (isinstance(config.dim, int) and config.dim >= 2)
+    dim_ok = config.dim == "auto" or (config.dim is not None and config.dim >= 2)
     if not dim_ok:
         errors.append(f"dim: must be \"auto\" or an integer >= 2, got {config.dim!r}")
     if config.output_format not in ("csv", "json"):
@@ -140,44 +151,31 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     if config.tau_values is not None:
         if len(config.tau_values) == 0:
             errors.append("tau_values: must contain at least one tau")
-        elif not all(_finite(t) and t >= 0.0 for t in config.tau_values):
+        elif not all(math.isfinite(t) and t >= 0.0 for t in config.tau_values):
             errors.append("tau_values: all entries must be finite and >= 0")
+    grid = [getattr(config, name) for name in GRID_FIELDS]
+    grid_errors, corner_sq = [], None  # the grid error comes last
+    if config.scenario == "qfunc-mixture" and None in grid:
+        missing = ", ".join(name for name, value in zip(GRID_FIELDS, grid) if value is None)
+        grid_errors.append("grid: qfunc-mixture needs explicit bounds and resolution; "
+                           f"missing {missing}")
+    elif config.scenario == "qfunc-mixture":
+        try:
+            *_, corner_sq = husimi._grid_axes(*grid)
+        except ValueError as exc:
+            grid_errors.append(f"grid: {exc}")
     if alpha_ok and dim_ok:
-        levels = max(resolve_dim(config), fock.default_dim(config.alpha),
-                     _q_series_levels(config))
+        levels = max(resolve_dim(config), fock.default_dim(config.alpha))
+        if corner_sq is not None:  # the Q oracle's terms out to the grid corner
+            levels = max(levels, closed_form._q_series_terms(math.sqrt(corner_sq) * config.alpha))
+        cap = levels if levels <= sys.float_info.max else math.inf  # inf: no float holds it
         for name, taus in (("tau_max", [config.tau_max]), ("tau_values", config.tau_values)):
-            if any(_finite(t) and not math.isfinite(t * levels) for t in taus or ()):
+            if any(_finite(t) and not math.isfinite(t * cap) for t in taus or ()):
                 errors.append(f"{name}: the pair phase tau * {levels} overflows")
-    for name in GRID_FIELDS[:4]:
-        value = getattr(config, name)
+    for name, value in zip(GRID_FIELDS, grid[:4]):
         if value is not None and not _finite(value):
             errors.append(f"{name}: must be finite, got {value!r}")
-    if config.scenario == "qfunc-mixture":
-        missing = [name for name in GRID_FIELDS if getattr(config, name) is None]
-        if missing:
-            errors.append("grid: qfunc-mixture needs explicit bounds and resolution; "
-                          f"missing {', '.join(missing)}")
-        else:
-            try:
-                husimi._grid_axes(*(getattr(config, name) for name in GRID_FIELDS))
-            except ValueError as exc:
-                errors.append(f"grid: {exc}")
-    return errors
-
-
-def _q_series_levels(config: ScenarioConfig) -> int:
-    """Terms of the qfunc-mixture Q oracle out to the grid corner; 0 for any other run.
-
-    A grid that is missing or invalid counts 0 here; validate_config reports it.
-    """
-    grid = [getattr(config, name) for name in GRID_FIELDS]
-    if config.scenario != "qfunc-mixture" or None in grid:
-        return 0
-    try:
-        *_, corner_sq = husimi._grid_axes(*grid)
-    except ValueError:
-        return 0
-    return closed_form._q_series_terms(math.sqrt(corner_sq) * config.alpha)
+    return config, errors + grid_errors
 
 
 def resolve_dim(config: ScenarioConfig) -> int:
@@ -238,15 +236,8 @@ def _write_json(path: Path, header, columns, metadata) -> None:
 
 
 def _metadata(config: ScenarioConfig, dim: int, extra=None) -> dict:
-    meta = {
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in asdict(config).items()},
-        "dim": dim,
-        "tail_mass": fock.poisson_tail(config.alpha**2, dim),
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+    return {"config": asdict(config), "dim": dim,
+            "tail_mass": fock.poisson_tail(config.alpha**2, dim), **(extra or {})}
 
 
 def _self_check_columns(name_a: str, col_a, name_b: str, col_b) -> None:
@@ -370,6 +361,7 @@ def _output_paths(config: ScenarioConfig, count: int) -> list[Path]:
 def run_scenario(config: ScenarioConfig, self_check: bool = False) -> list[Path]:
     """Run one scenario and write its output file(s); returns the paths written.
 
+    It runs config as validate_config reads it, so "5" or 5.0 runs as 5.
     Raises ConfigError for invalid configuration, TruncationTooSmall or
     TailLeak when dim cannot hold the requested states, SelfCheckFailed when
     --self-check finds a numeric/closed-form mismatch, and OSError for
@@ -377,7 +369,7 @@ def run_scenario(config: ScenarioConfig, self_check: bool = False) -> list[Path]
     failed write leaves none of the run's files: tables go to temporary files
     first, renamed to their targets once all are written.
     """
-    errors = validate_config(config)
+    config, errors = _read_and_check(config)
     if errors:
         raise ConfigError(errors)
     dim = resolve_dim(config)

@@ -1,6 +1,13 @@
 """Property-based invariants: normalization, convexity, channel structure."""
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from dataclasses import asdict, fields
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idjc
-from idjc.scenarios import ScenarioConfig, validate_config
+from idjc import cli, scenarios
+from idjc.scenarios import SCENARIO_NAMES, ScenarioConfig, validate_config
 
 from conftest import params, random_density
 
@@ -145,3 +153,57 @@ def test_grid_verdicts_agree(x_axis, y_axis, nx, ny):
     reported = [e for e in validate_config(config) if e.startswith("grid: ")]
     assert dense == swept
     assert reported == ([] if dense is None else [f"grid: {dense}"])
+
+
+#: Values no field of a library config may turn into a traceback: non-finite and
+#: huge numbers, numeric and other strings, booleans, None, containers and numpy scalars.
+GATE_POOL = [math.nan, math.inf, -math.inf, 1e308, 0, 10 ** 400,
+             "5", "0.5", "-1", "1e400", "nan", "a", "", True, False, None,
+             [], [0.5], [1, "2"], ["a"], [None], (0.5,), (), {}, {"a": 1},
+             np.int64(600), np.int64(-1), np.float64(2.5), np.float64(math.nan)]
+
+
+@st.composite
+def _gate_configs(draw):
+    """A small valid config of any scenario with one to three fields drawn from GATE_POOL."""
+    values = {"scenario": draw(st.sampled_from(SCENARIO_NAMES)), "alpha": 2.0,
+              "tau_steps": 5, "x_min": -4.0, "x_max": 4.0, "y_min": -4.0, "y_max": 4.0,
+              "nx": 5, "ny": 5, "output_path": "out.csv"}
+    names = [f.name for f in fields(ScenarioConfig)]
+    for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)):
+        values[name] = draw(st.sampled_from(GATE_POOL))
+    return ScenarioConfig(**values)
+
+
+def _as_config_file(config):
+    """The config as JSON text, or None when a config file cannot hold its values as they are."""
+    try:
+        text = json.dumps(asdict(config))
+    except TypeError:  # a numpy integer
+        return None
+    # a tuple reads back as a list, a numpy float as a float: neither is the same value
+    return text if repr(json.loads(text)) == repr(asdict(config)) else None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(config=_gate_configs())
+def test_library_gate_fuzz(config):
+    """validate_config never raises, and a config file with the same values gets its verdict.
+
+    The runners are stubbed to write nothing: the verdict is the gate's alone, and a
+    valid draw such as tau_steps = 10**400 need not be small enough to run.
+    """
+    errors = validate_config(config)
+    assert isinstance(errors, list) and all(isinstance(e, str) for e in errors)
+    text = _as_config_file(config)
+    if text is None:
+        return
+    stubs = dict.fromkeys(SCENARIO_NAMES, lambda config, dim, self_check: [])
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(scenarios._RUNNERS, stubs), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(text)
+        code = cli.main(["run", "--config", str(path)])
+        assert list(Path(tmp).iterdir()) == [path]
+    assert code == (2 if errors else 0)
+    assert err.getvalue().splitlines() == [f"error: {message}" for message in errors]

@@ -297,3 +297,63 @@ class TestDeterminism:
             (path,) = run_scenario(cfg)
             grids[name] = path.read_bytes()
         assert grids["a.csv"] == grids["b.csv"]
+
+
+class TestLibraryConfigReadLikeAFile:
+    """A ScenarioConfig built in code obeys the type rules of config files and flags."""
+
+    HUGE = 10 ** 400  # an integer that no float holds
+    GRID = {"alpha": 2.0, "tau_steps": 5, "x_min": -4.0, "x_max": 4.0, "y_min": -4.0,
+            "y_max": 4.0, "nx": 5, "ny": 5, "tau_values": (0.5,)}
+    FLAGS = ["--alpha", "2", "--tau-steps", "5", "--x-min=-4", "--x-max", "4", "--y-min=-4",
+             "--y-max", "4", "--nx", "5", "--ny", "5", "--tau-values", "0.5"]
+
+    @pytest.mark.parametrize("field,value,prefix", [
+        ("alpha", HUGE, "alpha: cannot interpret "),
+        ("lam", HUGE, "lam: cannot interpret "),
+        ("tau_max", HUGE, "tau_max: cannot interpret "),
+        ("x_min", HUGE, "x_min: cannot interpret "),
+        ("tau_values", [HUGE], "tau_values: cannot interpret "),
+        ("x_min", "a", "x_min: cannot interpret 'a'"),
+        ("tau_values", 5, "tau_values: cannot interpret 5"),
+        ("dim", HUGE, "tau_max: the pair phase tau * 1000"),
+    ], ids=["alpha", "lam", "tau_max", "x_min", "tau_values", "x_min-str", "tau_values-int",
+            "dim"])
+    def test_formerly_raising_value_is_one_field_error(self, tmp_path, field, value, prefix):
+        # no tau_values, so that dim sizes one pair phase, tau_max's
+        cfg = base_config(tmp_path, "qfunc-mixture", **dict(self.GRID, tau_values=None))
+        setattr(cfg, field, value)
+        errors = validate_config(cfg)
+        assert len(errors) == 1 and errors[0].startswith(prefix), errors
+        with pytest.raises(ConfigError):
+            run_scenario(cfg)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_boolean_alpha_is_refused_alike(self, tmp_path, capsys):
+        """Once read as alpha = 1 by the library while a config file refused it."""
+        cfg = base_config(tmp_path, "purity-mixture", alpha=True, tau_steps=5)
+        with pytest.raises(ConfigError) as err:
+            run_scenario(cfg)
+        assert err.value.field_errors == ["alpha: cannot interpret True"]
+        config_file = tmp_path / "cfg.json"
+        config_file.write_text(json.dumps(dataclasses.asdict(cfg)))
+        assert main(["run", "--config", str(config_file)]) == 2
+        assert capsys.readouterr().err == "error: alpha: cannot interpret True\n"
+        assert list(tmp_path.iterdir()) == [config_file]
+
+    @pytest.mark.parametrize("scenario,field,value", [
+        ("inversion-cat", "tau_steps", np.int64(5)),
+        ("inversion-cat", "tau_steps", 5.0),
+        ("inversion-cat", "tau_steps", "5"),
+        ("qfunc-mixture", "nx", "5"),
+        ("qfunc-mixture", "nx", 5.0),
+    ], ids=["tau_steps-int64", "tau_steps-float", "tau_steps-str", "nx-str", "nx-float"])
+    def test_number_reads_like_its_flag(self, tmp_path, capsys, scenario, field, value):
+        flagged = tmp_path / "flag.csv"
+        assert main(["run", "--scenario", scenario, "--out", str(flagged), *self.FLAGS]) == 0
+        cfg = base_config(tmp_path, scenario, output_path=str(tmp_path / "lib.csv"),
+                          **self.GRID)
+        setattr(cfg, field, value)
+        assert validate_config(cfg) == []
+        (path,) = run_scenario(cfg)
+        assert path.read_bytes() == flagged.read_bytes()

@@ -55,3 +55,29 @@ def test_series_tail_tol_is_compared_once():
 def test_sweep_tau_block_is_referenced_only_in_dynamics():
     users = {stem for stem, tree in TREES.items() if mentions(tree, "SWEEP_TAU_BLOCK")}
     assert users == {"dynamics"}
+
+
+def function(tree: ast.AST, name: str) -> ast.FunctionDef:
+    (found,) = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name]
+    return found
+
+
+def test_type_rules_live_only_in_config_from_mapping():
+    """validate_config reads every config through config_from_mapping and keeps only ranges."""
+    tree = TREES["scenarios"]
+    reader = {id(node) for node in ast.walk(function(tree, "config_from_mapping"))}
+    type_rules = [node for node in ast.walk(tree)
+                  if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                      and node.id in ("_INT_FIELDS", "_FLOAT_FIELDS"))
+                  or (isinstance(node, ast.Call) and mentions(node.func, "isinstance"))]
+    assert [node.lineno for node in type_rules if id(node) not in reader] == []
+    assert any(isinstance(node, ast.Call) and mentions(node.func, "isinstance")
+               and mentions(node.args[1], "bool") for node in type_rules)
+
+
+def test_scenarios_runs_the_grid_rule_once():
+    calls = [node.lineno for node in ast.walk(TREES["scenarios"])
+             if isinstance(node, ast.Call) and mentions(node.func, "_grid_axes")]
+    assert len(calls) == 1, calls
+    assert not any(mentions(tree, "_q_series_levels") for tree in TREES.values())
