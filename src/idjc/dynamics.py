@@ -17,13 +17,15 @@ therefore appears nowhere in this module.
 Two paths evaluate the map; phi_n = tau * (pair frequency of level n).
 The per-call functions (evolve_field, excited_population, atomic_inversion,
 joint_state_blocks) take one tau and a general, possibly full-rank density
-matrix, and build the evolved matrix densely as two real weight matrices
-applied to it: the stay branch weights rho[m, n] by cos(phi_m) cos(phi_n),
-and the flip branch moves rho one level, weighted by sin(phi_m) sin(phi_n)
-because (-i sin)(i sin) is real.  Both weight matrices are real and
-symmetric to the bit, so a Hermitian input gives a Hermitian output by
-construction: evolve_field validates its input once and re-checks only the
-trace of what it returns (the dropped top-level flip may remove up to
+matrix, and build the evolved matrix densely from two real weights: the
+stay branch weights rho[m, n] by cos(phi_m) cos(phi_n), and the flip
+branch moves rho one level, weighted by sin(phi_m) sin(phi_n) because
+(-i sin)(i sin) is real.  evolve_field applies them in row blocks, so its
+output is the only dim x dim array it allocates, with the bits of applying
+the whole weight matrices.  Both weights are real and symmetric to the
+bit, so a Hermitian input gives a Hermitian output by construction:
+evolve_field validates its input once and re-checks only the trace of what
+it returns (the dropped top-level flip may remove up to
 DEFAULT_TAIL_LEAK_TOL of it).  sweep_branches covers a whole tau grid
 for an ensemble of pure states with the atom excited: each component v
 evolves into exactly two field branches, stay cos(phi_n) v_n and flip
@@ -65,6 +67,10 @@ DEFAULT_TAIL_LEAK_TOL = 1e-10
 #: Taus per block of _tau_blocks, the one walk of sweep_branches and husimi.q_sweep:
 #: their temporaries stay (block x dim) or (block x 2m x dim), whatever the tau count.
 SWEEP_TAU_BLOCK = 64
+
+#: Bytes of complex entries per row block of evolve_field: 128 KiB, glibc's
+#: default mmap threshold, so a block's temporaries reuse the same heap pages.
+_ROW_BLOCK_BYTES = 2**17
 
 
 @dataclass(frozen=True)
@@ -149,19 +155,40 @@ def _check_inputs(rho0: DensityMatrix, params: EvolutionParams) -> None:
         _check_tail(float(np.real(rho0.elements[-1, -1] + rho0.elements[-2, -2])))
 
 
+def _row_blocks(n: int):
+    """Slices of consecutive rows covering n rows of length n.
+
+    Each block of complex entries takes at most _ROW_BLOCK_BYTES (one row
+    if a single row is larger), so its temporaries are served from the heap
+    instead of being mapped and faulted in anew on every call.
+    """
+    rows = max(1, _ROW_BLOCK_BYTES // (16 * n))
+    return (slice(s, s + rows) for s in range(0, n, rows))
+
+
 def evolve_field(rho0: DensityMatrix, params: EvolutionParams) -> DensityMatrix:
     """Reduced field state after interaction time tau.
 
-    Applies the two branches as real weight matrices; the map is trace
-    preserving as long as the initial state keeps the top of the truncated
-    basis empty, which is enforced against DEFAULT_TAIL_LEAK_TOL.  The
-    output is Hermitian by construction, so only its trace is re-checked.
+    Applies the two branches as real weights, one block of _row_blocks at a
+    time: the stay branch writes out[m, n] = cos_m cos_n rho[m, n] into the
+    output, and only once every stay row is written (a flip row lands on its
+    neighbouring output row) the flip branch adds sin_m sin_n rho[m, n] one
+    level over.  The output is the only dim x dim array allocated; each
+    block's weights are rows of the full outer products, so the result is
+    the same to the bit as forming them whole.  The map is trace preserving
+    as long as the initial state keeps the top of the truncated basis empty,
+    which is enforced against DEFAULT_TAIL_LEAK_TOL.  The output is
+    Hermitian by construction, so only its trace is re-checked.
     """
     _check_inputs(rho0, params)
     cos, sin, src, dst = _branch_weights(params.tau, params.dim, params.coupling, params.atom)
     el = rho0.elements
-    out = np.outer(cos, cos) * el
-    out[dst, dst] += np.outer(sin[src], sin[src]) * el[src, src]
+    out = np.empty_like(el)
+    for rows in _row_blocks(params.dim):
+        np.multiply(np.multiply.outer(cos[rows], cos), el[rows], out=out[rows])
+    flip, s, moved = out[dst, dst], sin[src], el[src, src]
+    for rows in _row_blocks(len(s)):
+        flip[rows] += np.multiply.outer(s[rows], s) * moved[rows]
     return DensityMatrix._owned(out)
 
 

@@ -29,6 +29,13 @@ SELF_CHECK_ATOL = 1e-9
 
 DEFAULT_QFUNC_TAUS = (0.0, math.pi / 4.0, math.pi / 2.0)
 
+#: The most floats one numpy array can hold, whose byte count must fit an intp:
+#: np.linspace raises, not always ValueError, for more tau_steps, nx or ny.
+_MAX_LENGTH = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+#: The largest level count an int64 holds, as the Poisson tail and the basis need.
+_MAX_LEVELS = np.iinfo(np.int64).max
+
 
 @dataclass
 class ScenarioConfig:
@@ -112,7 +119,9 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     infinite tau_max or a NaN tau would otherwise run and write NaN rows.  So
     must every pair phase: a tau times the number of levels, of the engine's
     basis or of the oracles' default series (for qfunc-mixture the Q series
-    out to the grid corner), that overflows would give NaN rows too.
+    out to the grid corner), that overflows would give NaN rows too.  Every
+    count must fit its array: tau_steps, nx and ny at most _MAX_LENGTH, and
+    the level count of alpha or of an explicit dim at most _MAX_LEVELS.
     """
     return _read_and_check(config)[1]
 
@@ -153,13 +162,15 @@ def _read_and_check(config: ScenarioConfig) -> tuple[ScenarioConfig, list[str]]:
             errors.append("tau_values: must contain at least one tau")
         elif not all(math.isfinite(t) and t >= 0.0 for t in config.tau_values):
             errors.append("tau_values: all entries must be finite and >= 0")
+    too_long = [name for name in ("tau_steps", "nx", "ny")
+                if (getattr(config, name) or 0) > _MAX_LENGTH]
     grid = [getattr(config, name) for name in GRID_FIELDS]
     grid_errors, corner_sq = [], None  # the grid error comes last
     if config.scenario == "qfunc-mixture" and None in grid:
         missing = ", ".join(name for name, value in zip(GRID_FIELDS, grid) if value is None)
         grid_errors.append("grid: qfunc-mixture needs explicit bounds and resolution; "
                            f"missing {missing}")
-    elif config.scenario == "qfunc-mixture":
+    elif config.scenario == "qfunc-mixture" and not too_long:
         try:
             *_, corner_sq = husimi._grid_axes(*grid)
         except ValueError as exc:
@@ -169,12 +180,21 @@ def _read_and_check(config: ScenarioConfig) -> tuple[ScenarioConfig, list[str]]:
         if corner_sq is not None:  # the Q oracle's terms out to the grid corner
             levels = max(levels, closed_form._q_series_terms(math.sqrt(corner_sq) * config.alpha))
         cap = levels if levels <= sys.float_info.max else math.inf  # inf: no float holds it
-        for name, taus in (("tau_max", [config.tau_max]), ("tau_values", config.tau_values)):
-            if any(_finite(t) and not math.isfinite(t * cap) for t in taus or ()):
-                errors.append(f"{name}: the pair phase tau * {levels} overflows")
+        phase_errors = [f"{name}: the pair phase tau * {levels} overflows"
+                        for name, taus in (("tau_max", [config.tau_max]),
+                                           ("tau_values", config.tau_values))
+                        if any(_finite(t) and not math.isfinite(t * cap) for t in taus or ())]
+        counts = [("alpha", fock.default_dim(config.alpha))]
+        if config.dim != "auto":
+            counts.append(("dim", config.dim))
+        errors += phase_errors or [  # an overflowing phase already says the basis is too large
+            f"{name}: sizes {count} Fock levels, more than an int64 holds ({_MAX_LEVELS})"
+            for name, count in counts if count > _MAX_LEVELS]
     for name, value in zip(GRID_FIELDS, grid[:4]):
         if value is not None and not _finite(value):
             errors.append(f"{name}: must be finite, got {value!r}")
+    errors += [f"{name}: must be at most {_MAX_LENGTH}, the most floats one array holds, "
+               f"got {getattr(config, name)!r}" for name in too_long]
     return config, errors + grid_errors
 
 

@@ -222,6 +222,47 @@ class TestNonFiniteInput:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+class TestCountsBeyondIndexing:
+    """A tau or grid count no array can hold, or a level count no int64 holds, exits 2."""
+
+    @pytest.mark.parametrize("flag", ["--nx", "--ny"])
+    @pytest.mark.parametrize("value", [str(2 ** 63), str(2 ** 63 - 1), str(2 ** 60)])
+    def test_grid_count(self, tmp_path, capsys, flag, value):
+        """2**63 once raised IndexError out of the gate, as np.linspace does for 2**63 - 1."""
+        args = dict(QFUNC_ARGS, **{flag: value})
+        assert run_cli("run", "--scenario", "qfunc-mixture", "--out", str(tmp_path / "q.csv"),
+                       *(f"{key}={val}" for key, val in args.items())) == 2
+        assert capsys.readouterr().err == (f"error: {flag[2:]}: must be at most {2 ** 60 - 1}, "
+                                           f"the most floats one array holds, got {value}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["100000000000000000000000", str(2 ** 60)])
+    def test_tau_steps(self, tmp_path, capsys, value):
+        assert run_cli("run", "--scenario", "purity-mixture", "--tau-steps", value,
+                       "--out", str(tmp_path / "p.csv")) == 2
+        assert capsys.readouterr().err.startswith("error: tau_steps: must be at most ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dim", [[], ["--dim", "10"]], ids=["auto", "explicit"])
+    @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+    def test_alpha_level_count(self, tmp_path, capsys, scenario, dim):
+        """alpha = 1e150 once reached scipy's Poisson tail with a count beyond int64."""
+        args = dict(QFUNC_ARGS, **{"--alpha": "1e150", "--tau-steps": "3"})
+        assert run_cli("run", "--scenario", scenario, "--out", str(tmp_path / "o.csv"),
+                       *(f"{key}={val}" for key, val in args.items()), *dim) == 2
+        levels = idjc.default_dim(1e150)
+        assert capsys.readouterr().err == (f"error: alpha: sizes {levels} Fock levels, "
+                                           f"more than an int64 holds ({2 ** 63 - 1})\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dim_level_count(self, tmp_path, capsys):
+        assert run_cli("run", "--scenario", "purity-mixture", "--dim", str(2 ** 63),
+                       "--tau-steps", "3", "--out", str(tmp_path / "p.csv")) == 2
+        assert capsys.readouterr().err == (f"error: dim: sizes {2 ** 63} Fock levels, "
+                                           f"more than an int64 holds ({2 ** 63 - 1})\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestMisreadConfigValues:
     """A config value that would silently read as another one is an error naming its field."""
 

@@ -1,6 +1,7 @@
 """Evolution map: Kraus branches, populations, joint blocks, periodicity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,3 +322,60 @@ def test_dense_map_equals_explicit_kraus_products(seed, dim, tau, coupling, atom
 
     p_exc = idjc.excited_population(rho0, p)
     assert p_exc == pytest.approx(np.trace(expected["ee"]).real, abs=1e-14)
+
+
+#: Rows per block of evolve_field's walk at dim 203, the default truncation at alpha = 10.
+ROWS = 40
+
+
+def test_row_blocks_cover_every_row_once():
+    for n in (1, 2, 3, ROWS, 203, 8193, 20000):
+        blocks = list(idjc.dynamics._row_blocks(n))
+        covered = np.concatenate([np.arange(n)[b] for b in blocks])
+        assert np.array_equal(covered, np.arange(n))
+        rows = blocks[0].stop - blocks[0].start
+        assert rows == 1 or 16 * rows * n <= idjc.dynamics._ROW_BLOCK_BYTES
+    assert [len(range(203)[b]) for b in idjc.dynamics._row_blocks(203)] == [ROWS] * 5 + [3]
+
+
+def _whole_matrix_map(rho0: idjc.DensityMatrix, p: idjc.EvolutionParams) -> np.ndarray:
+    """The map formed from whole dim x dim weight matrices, which evolve_field walks in rows."""
+    cos, sin, src, dst = idjc.dynamics._branch_weights(p.tau, p.dim, p.coupling, p.atom)
+    el = rho0.elements
+    out = np.outer(cos, cos) * el
+    out[dst, dst] += np.outer(sin[src], sin[src]) * el[src, src]
+    return out
+
+
+@pytest.mark.parametrize("dim,atom", [
+    (dim, atom) for dim in (2, 3, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1, 203)
+    for atom in (idjc.ATOM_EXCITED, idjc.ATOM_GROUND)
+    if (dim, atom) != (2, idjc.ATOM_EXCITED)  # at dim 2 the levels an excited atom keeps empty are all
+])
+@pytest.mark.parametrize("coupling", [idjc.INTENSITY_DEPENDENT, idjc.ORDINARY])
+def test_row_blocks_give_the_whole_matrix_bits(monkeypatch, dim, atom, coupling):
+    """Blocks of ROWS rows at every dim; the output keeps every bit and its Hermiticity."""
+    monkeypatch.setattr(idjc.dynamics, "_ROW_BLOCK_BYTES", 16 * ROWS * dim)
+    support = dim if atom == idjc.ATOM_GROUND else dim - 2
+    el = random_density(np.random.default_rng(dim), dim, support).elements
+    rho0 = idjc.DensityMatrix((el + el.conj().T) / 2.0)
+    for tau in (0.0, 0.7, 2.5):
+        p = params(tau, dim=dim, coupling=coupling, atom=atom)
+        out = idjc.evolve_field(rho0, p).elements
+        assert np.array_equal(out, _whole_matrix_map(rho0, p))
+        assert np.array_equal(out, out.conj().T)
+
+
+def test_evolve_field_allocates_one_dense_array():
+    """The output is the map's only dim x dim array: the traced peak stays under two of them."""
+    dim = 203
+    rho0 = random_density(np.random.default_rng(3), dim)
+    p = params(0.7, dim=dim)
+    idjc.evolve_field(rho0, p)
+    tracemalloc.start()
+    try:
+        idjc.evolve_field(rho0, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * dim * dim
