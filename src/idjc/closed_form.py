@@ -52,6 +52,16 @@ def _checked_weights(alpha: float, n_terms: int) -> np.ndarray:
     return w
 
 
+def _reduced(tau: float) -> float:
+    """tau, or for tau above 2 pi the same angle in (-pi, pi], to about an ulp.
+
+    Every phase of these series is tau times an integer, so only tau mod 2 pi
+    matters; libm's sin and cos reduce tau exactly, and the reduced tau keeps
+    the digits that a product with a large tau would round away.
+    """
+    return math.atan2(math.sin(tau), math.cos(tau)) if tau > 2.0 * math.pi else tau
+
+
 def _coherent_series(z, n_terms: int) -> np.ndarray:
     """<n|z> = exp(-|z|^2/2) z^n / sqrt(n!) for n < n_terms, shape z.shape + (n_terms,).
 
@@ -77,6 +87,7 @@ def purity_mixture_closed(alpha: float, tau: float, n_terms: int | None = None) 
     branch arriving there from n-1, each summed plain and with (-1)^n.
     """
     alpha = float(alpha)
+    tau = _reduced(tau)
     if n_terms is None:
         n_terms = default_dim(alpha)
     amp = np.sqrt(_checked_weights(alpha, n_terms))
@@ -112,6 +123,7 @@ def inversion_cat_closed(alpha: float, parity_r: int, tau: float) -> float:
     """
     spec = CatSpec(alpha, parity_r)
     a_sq = float(alpha) ** 2
+    tau = _reduced(tau)
     if parity_r == -1:
         return _odd_cat_inversion(a_sq, tau)
     main = (1.0 + parity_r**2) * math.exp(-2.0 * a_sq * math.sin(tau) ** 2) \
@@ -162,6 +174,7 @@ def evolved_cat_branches(spec: CatSpec, tau: float, dim: int):
     SERIES_TAIL_TOL (a dim below 1 holds none of the norm).
     """
     n = np.arange(dim)
+    tau = _reduced(tau)
     base = _coherent_series(spec.alpha, dim)
     if spec.parity_r == -1:
         # sqrt(norm_const) = 1 / (2 |alpha| sqrt(G)), G = expm1(x) / x at x = -2 |alpha|^2,
@@ -200,6 +213,7 @@ def q_mixture_closed(alpha: float, tau: float, beta,
     cross terms between its components).
     """
     alpha = float(alpha)
+    tau = _reduced(tau)
     beta = np.asarray(beta, dtype=complex)
     peak = float(np.max(np.abs(beta), initial=0.0)) * abs(alpha)
     if n_terms is None:

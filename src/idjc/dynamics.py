@@ -38,6 +38,10 @@ Both paths take the cos and sin of the pair phases, for one tau or a block
 of taus, from _branch_weights, together with the flip branch's source and
 target levels src and dst: the flip weights and products are sliced to
 them, so the top level's flip, which would leave the basis, is never formed.
+With the intensity-dependent coupling every phase is tau times an integer,
+so _branch_weights first replaces a tau above 2 pi by atan2(sin tau, cos
+tau), the same angle in (-pi, pi]: libm reduces tau exactly, and the phases
+keep the digits that the product tau * (n+1) would round away.
 The Husimi Q of the evolved ensemble is such a fidelity sum with coherent
 targets; :func:`idjc.husimi.q_sweep` takes it from the branches that
 _branch_block builds per tau block, one matrix product per grid row.  Both
@@ -128,13 +132,16 @@ def _branch_weights(tau, dim: int, coupling: str,
     upward, frequency n+1 in the intensity-dependent mode or sqrt(n+1) in
     the ordinary one, and its flip moves level src up one to dst (the top
     level's flip leaves the basis).  A ground atom pairs downward, n in
-    place of n+1, and its flip moves down one.
+    place of n+1, and its flip moves down one.  Intensity-dependent taus
+    above 2 pi are first replaced by the same angle in (-pi, pi].
     """
     if atom == ATOM_EXCITED:
         levels, src, dst = np.arange(1.0, dim + 1.0), slice(None, -1), slice(1, None)
     else:
         levels, src, dst = np.arange(0.0, dim), slice(1, None), slice(None, -1)
     freqs = levels if coupling == INTENSITY_DEPENDENT else np.sqrt(levels)
+    if coupling == INTENSITY_DEPENDENT and np.max(tau) > 2.0 * math.pi:
+        tau = np.where(tau > 2.0 * math.pi, np.arctan2(np.sin(tau), np.cos(tau)), tau)
     phases = np.multiply.outer(tau, freqs)
     return np.cos(phases), np.sin(phases), src, dst
 

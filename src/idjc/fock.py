@@ -3,7 +3,8 @@
 State constructors evaluate amplitudes in log space (log-gamma instead of
 factorials), so coherent amplitudes up to |alpha| ~ 10 and photon numbers in
 the hundreds stay finite.  Every value is immutable after construction and
-every function here is pure, so concurrent use needs no locking.
+every function here is pure, so concurrent use needs no locking.  Each
+tolerance check reads "not deviation <= tol", so that a NaN fails it.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class StateVector:
         if amp.ndim != 1 or amp.size < 1:
             raise InvalidDim("state vector must be a non-empty 1-D array")
         norm_sq = float(np.vdot(amp, amp).real)
-        if abs(norm_sq - 1.0) > _NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= _NORM_ATOL:
             raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
@@ -90,7 +91,7 @@ class StateVector:
 
 def _check_trace(el: np.ndarray) -> None:
     tr = complex(np.trace(el))
-    if abs(tr - 1.0) > _TRACE_ATOL:
+    if not abs(tr - 1.0) <= _TRACE_ATOL:
         raise ValueError(f"density matrix trace is {tr!r}, expected 1")
 
 
@@ -115,7 +116,7 @@ class DensityMatrix:
         if el.ndim != 2 or el.shape[0] != el.shape[1] or el.shape[0] < 1:
             raise InvalidDim("density matrix must be square and non-empty")
         herm = float(np.max(np.abs(el - el.conj().T)))
-        if herm > _HERMITICITY_ATOL:
+        if not herm <= _HERMITICITY_ATOL:
             raise ValueError(f"density matrix is not Hermitian: max deviation {herm!r}")
         _check_trace(el)
         el.flags.writeable = False
@@ -242,16 +243,17 @@ def pure_density(psi: StateVector) -> DensityMatrix:
 def mixture_weights(components) -> np.ndarray:
     """Checked weights of a sequence of (weight, state) pairs.
 
-    Weights must be nonnegative and sum to one within 1e-12, and all states
-    (density matrices or state vectors) must share one dim.
+    Weights must be nonnegative numbers (not NaN) and sum to one within
+    1e-12, and all states (density matrices or state vectors) must share one
+    dim.
     """
     if not components:
         raise WeightMismatch("a mixture needs at least one component")
     weights = np.array([w for w, _ in components], dtype=float)
-    if np.any(weights < 0.0):
-        raise WeightMismatch(f"negative weight in {weights.tolist()}")
+    if not np.all(weights >= 0.0):
+        raise WeightMismatch(f"weights must be nonnegative numbers, got {weights.tolist()}")
     total = float(weights.sum())
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise WeightMismatch(f"weights sum to {total!r}, expected 1")
     dims = {state.dim for _, state in components}
     if len(dims) != 1:

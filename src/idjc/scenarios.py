@@ -6,10 +6,15 @@ requested tau.  Identical configuration produces byte-identical files on
 every run: floats are serialized with 17 significant digits (lossless round
 trip).  Every scenario evaluates its tau grid on the branch sweep of
 :mod:`idjc.dynamics`; the Q grids come from :func:`idjc.husimi.q_sweep`.
+Each runner returns its tables and its check pairs (engine name, engine
+column, oracle name, oracle), the oracle a zero-argument callable giving the
+closed-form column; run_scenario alone compares them, under --self-check, so
+a closed-form column that no table holds is computed only then.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -260,73 +265,71 @@ def _metadata(config: ScenarioConfig, dim: int, extra=None) -> dict:
             "tail_mass": fock.poisson_tail(config.alpha**2, dim), **(extra or {})}
 
 
-def _self_check_columns(name_a: str, col_a, name_b: str, col_b) -> None:
-    worst = float(np.max(np.abs(np.asarray(col_a) - np.asarray(col_b))))
-    if not worst <= SELF_CHECK_ATOL:
-        raise SelfCheckFailed(
-            f"{name_a} and {name_b} disagree by {worst:.3e} (> {SELF_CHECK_ATOL:.0e})"
-        )
+def _check_pairs(pairs) -> None:
+    """Raise SelfCheckFailed for the first pair whose columns differ by more than SELF_CHECK_ATOL."""
+    for engine_name, engine, oracle_name, oracle in pairs:
+        worst = float(np.max(np.abs(engine - oracle())))
+        if not worst <= SELF_CHECK_ATOL:
+            raise SelfCheckFailed(f"{engine_name} and {oracle_name} disagree by {worst:.3e} "
+                                  f"(> {SELF_CHECK_ATOL:.0e})")
 
 
-def _run_purity_mixture(config, dim, self_check):
+def _zeta_closed(config, taus) -> np.ndarray:
+    return np.array([closed_form.purity_mixture_closed(config.alpha, t) for t in taus])
+
+
+def _w_closed(config, taus) -> np.ndarray:
+    return np.array([closed_form.inversion_cat_closed(config.alpha, config.parity_r, t)
+                     for t in taus])
+
+
+def _run_purity_mixture(config, dim):
     taus = _tau_grid(config)
-    sweep = dynamics.sweep_branches(_coherent_mixture(config.alpha, dim), taus)
-    numeric = sweep.purity_defect
-    closed = np.array([closed_form.purity_mixture_closed(config.alpha, t) for t in taus])
-    if self_check:
-        _self_check_columns("zeta_numeric", numeric, "zeta_closed", closed)
+    numeric = dynamics.sweep_branches(_coherent_mixture(config.alpha, dim), taus).purity_defect
+    closed = _zeta_closed(config, taus)
     header = ("tau", "zeta_numeric", "zeta_closed")
-    return [(header, (taus, numeric, closed), None)]
+    return ([(header, (taus, numeric, closed), None)],
+            [("zeta_numeric", numeric, "zeta_closed", lambda: closed)])
 
 
-def _run_inversion_cat(config, dim, self_check):
+def _run_inversion_cat(config, dim):
     taus = _tau_grid(config)
     spec = fock.CatSpec(alpha=config.alpha, parity_r=config.parity_r)
     cat = fock.make_cat(spec, dim)
-    sweep = dynamics.sweep_branches([(1.0, cat)], taus)
-    numeric = 2.0 * sweep.excited_population - 1.0
-    closed = np.array([
-        closed_form.inversion_cat_closed(config.alpha, config.parity_r, t) for t in taus
-    ])
-    if self_check:
-        _self_check_columns("W_numeric", numeric, "W_closed", closed)
+    numeric = 2.0 * dynamics.sweep_branches([(1.0, cat)], taus).excited_population - 1.0
+    closed = _w_closed(config, taus)
     header = ("tau", "W_numeric", "W_closed")
     extra = {"revival_time": closed_form.revival_time(spec, config.lam)}
-    return [(header, (taus, numeric, closed), extra)]
+    return ([(header, (taus, numeric, closed), extra)],
+            [("W_numeric", numeric, "W_closed", lambda: closed)])
 
 
-def _run_qfunc_mixture(config, dim, self_check):
+def _run_qfunc_mixture(config, dim):
     taus = config.tau_values if config.tau_values is not None else DEFAULT_QFUNC_TAUS
     grids = husimi.q_sweep(_coherent_mixture(config.alpha, dim), taus, config.x_min,
                            config.x_max, config.y_min, config.y_max, config.nx, config.ny)
     # one x and one y column object for every grid, so run_scenario formats each once
     x_col = np.repeat(np.linspace(config.x_min, config.x_max, config.nx), config.ny)
     y_col = np.tile(np.linspace(config.y_min, config.y_max, config.ny), config.nx)
-    outputs = []
+    # the closed form is checked on a deterministic subsample (full grids are large)
+    idx = np.arange(0, len(x_col), max(1, len(x_col) // 400))
+    betas = x_col[idx] + 1j * y_col[idx]
+    outputs, pairs = [], []
     for tau, grid in zip(taus, grids):
         q_col = grid.values.reshape(-1)
-        if self_check:
-            _qfunc_self_check(config, tau, x_col, y_col, q_col)
+        # every valid Q lies in [0, 1/pi]; a value outside is an engine fault
+        if float(q_col.min()) < -1e-12 or float(q_col.max()) > 1.0 / math.pi + 1e-12:
+            raise SelfCheckFailed(f"Q out of bounds [0, 1/pi]: min {q_col.min():.3e}, "
+                                  f"max {q_col.max():.6f}")
         header = ("x", "y", "q")
         extra = {"tau": float(tau), "normalization": grid.normalization()}
         outputs.append((header, (x_col, y_col, q_col), extra))
-    return outputs
+        oracle = functools.partial(closed_form.q_mixture_closed, config.alpha, tau, betas)
+        pairs.append(("q", q_col[idx], "q_closed", oracle))
+    return outputs, pairs
 
 
-def _qfunc_self_check(config, tau, x_col, y_col, q_col) -> None:
-    bound = 1.0 / math.pi + 1e-12
-    if float(q_col.min()) < -1e-12 or float(q_col.max()) > bound:
-        raise SelfCheckFailed(
-            f"Q out of bounds [0, 1/pi]: min {q_col.min():.3e}, max {q_col.max():.6f}"
-        )
-    # closed-form agreement on a deterministic subsample (full grids are large)
-    stride = max(1, len(q_col) // 400)
-    idx = np.arange(0, len(q_col), stride)
-    closed = closed_form.q_mixture_closed(config.alpha, tau, x_col[idx] + 1j * y_col[idx])
-    _self_check_columns("q", q_col[idx], "q_closed", closed)
-
-
-def _run_cat_transition(config, dim, self_check):
+def _run_cat_transition(config, dim):
     taus = _tau_grid(config)
     spec = fock.CatSpec(alpha=config.alpha, parity_r=config.parity_r)
     cat = fock.make_cat(spec, dim)
@@ -336,28 +339,22 @@ def _run_cat_transition(config, dim, self_check):
                                     targets=(even_here.amplitudes, odd_rotated.amplitudes))
     p_exc = sweep.excited_population
     fid_even, fid_odd = sweep.fidelities
-    if self_check:
-        closed_pe = np.array([
-            (closed_form.inversion_cat_closed(config.alpha, config.parity_r, t) + 1.0) / 2.0
-            for t in taus
-        ])
-        _self_check_columns("P_excited", p_exc, "(W_closed+1)/2", closed_pe)
     header = ("tau", "P_excited", "fidelity_even_cat_alpha", "fidelity_odd_cat_i_alpha")
     extra = {"revival_time": closed_form.revival_time(spec, config.lam)}
-    return [(header, (taus, p_exc, fid_even, fid_odd), extra)]
+    return ([(header, (taus, p_exc, fid_even, fid_odd), extra)],
+            [("P_excited", p_exc, "(W_closed+1)/2",
+              lambda: (_w_closed(config, taus) + 1.0) / 2.0)])
 
 
-def _run_ordinary_contrast(config, dim, self_check):
+def _run_ordinary_contrast(config, dim):
     taus = _tau_grid(config)
     mixture = _coherent_mixture(config.alpha, dim)
     zeta_id = dynamics.sweep_branches(mixture, taus).purity_defect
     zeta_ord = dynamics.sweep_branches(mixture, taus,
                                        coupling=dynamics.ORDINARY).purity_defect
-    if self_check:
-        closed = np.array([closed_form.purity_mixture_closed(config.alpha, t) for t in taus])
-        _self_check_columns("zeta_ID", zeta_id, "zeta_closed", closed)
     header = ("tau", "zeta_ID", "zeta_ordinary")
-    return [(header, (taus, zeta_id, zeta_ord), None)]
+    return ([(header, (taus, zeta_id, zeta_ord), None)],
+            [("zeta_ID", zeta_id, "zeta_closed", lambda: _zeta_closed(config, taus))])
 
 
 _RUNNERS = {
@@ -384,7 +381,7 @@ def run_scenario(config: ScenarioConfig, self_check: bool = False) -> list[Path]
     It runs config as validate_config reads it, so "5" or 5.0 runs as 5.
     Raises ConfigError for invalid configuration, TruncationTooSmall or
     TailLeak when dim cannot hold the requested states, SelfCheckFailed when
-    --self-check finds a numeric/closed-form mismatch, and OSError for
+    a Q leaves [0, 1/pi] or --self-check finds a mismatch, and OSError for
     filesystem problems.  Nothing is written unless all checks pass, and a
     failed write leaves none of the run's files: tables go to temporary files
     first, renamed to their targets once all are written.
@@ -393,7 +390,9 @@ def run_scenario(config: ScenarioConfig, self_check: bool = False) -> list[Path]
     if errors:
         raise ConfigError(errors)
     dim = resolve_dim(config)
-    tables = _RUNNERS[config.scenario](config, dim, self_check)
+    tables, pairs = _RUNNERS[config.scenario](config, dim)
+    if self_check:
+        _check_pairs(pairs)
     paths = _output_paths(config, len(tables))
     temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     cells = _csv_formatter(tables)

@@ -60,6 +60,18 @@ class TestRunOk:
                        "--tau-steps", "25", "--self-check",
                        "--out", str(tmp_path / "sc.csv")) == 0
 
+    @pytest.mark.parametrize("tau", ["1e6", "1e8", "1e12", "1e300"])
+    @pytest.mark.parametrize("scenario", ["inversion-cat", "purity-mixture", "cat-transition",
+                                          "qfunc-mixture"])
+    def test_self_check_passes_at_large_tau(self, tmp_path, scenario, tau):
+        """Both routes take the intensity-dependent phases at tau mod 2 pi, exactly."""
+        taus = ["--tau-max", tau, "--tau-steps", "50"]
+        if scenario == "qfunc-mixture":
+            taus = ["--tau-values", f"{tau},0.5", "--x-min=-8", "--x-max", "8",
+                    "--y-min=-8", "--y-max", "8", "--nx", "9", "--ny", "9"]
+        assert run_cli("run", "--scenario", scenario, *taus, "--self-check",
+                       "--out", str(tmp_path / "t.csv")) == 0
+
     def test_vacuum_limit_alpha(self, tmp_path):
         """alpha^2 underflows here; the closed-form column must stay finite."""
         out = tmp_path / "p.csv"

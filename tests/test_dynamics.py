@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idjc
+from idjc import closed_form
 from idjc.errors import DimMismatch, TailLeak
 
 from conftest import ALPHA, DIM, params, random_density
@@ -221,6 +222,28 @@ class TestPeriodicity:
                 a = idjc.evolve_field(rho0, params(tau))
                 b = idjc.evolve_field(rho0, params(tau + math.pi))
                 assert np.max(np.abs(a.elements - b.elements)) < 1e-10
+
+    # W of the even cat and zeta of the |a>/|-a> mixture at alpha = 5 and large non-integer
+    # taus, made with mpmath at 50 digits: theta = fmod(tau, 2 pi) of the exact float tau,
+    # then the untruncated series over 200 photon numbers, W = sum_n p_n cos(2 theta (n+1))
+    # for the even cat's p_n, and zeta from the overlaps of the stay and flip branches.
+    LARGE_TAU_REFERENCES = {1e8 / 3: (-0.46327363578799885, 0.3995531638573708),
+                            1e12 / 3: (0.007784373554868067, 0.5247353528848082)}
+
+    @pytest.mark.parametrize("tau", sorted(LARGE_TAU_REFERENCES))
+    def test_large_tau_keeps_the_reduced_phase(self, mixture5, even_cat5, tau):
+        """Every route takes tau mod 2 pi exactly instead of rounding tau * (n + 1)."""
+        w_ref, zeta_ref = self.LARGE_TAU_REFERENCES[tau]
+        components = [(0.5, idjc.make_coherent(ALPHA, DIM)),
+                      (0.5, idjc.make_coherent(-ALPHA, DIM))]
+        w = [idjc.atomic_inversion(idjc.pure_density(even_cat5), params(tau)),
+             2.0 * idjc.sweep_branches([(1.0, even_cat5)], [tau]).excited_population[0] - 1.0,
+             closed_form.inversion_cat_closed(ALPHA, 1, tau)]
+        zeta = [idjc.purity_defect(idjc.evolve_field(mixture5, params(tau))),
+                idjc.sweep_branches(components, [tau]).purity_defect[0],
+                closed_form.purity_mixture_closed(ALPHA, tau)]
+        assert np.max(np.abs(np.subtract(w, w_ref))) < 1e-12
+        assert np.max(np.abs(np.subtract(zeta, zeta_ref))) < 1e-12
 
     def test_ordinary_mode_not_periodic(self, mixture5):
         a = idjc.evolve_field(mixture5, params(0.8, coupling=idjc.ORDINARY))

@@ -113,6 +113,11 @@ class TestStateVector:
         with pytest.raises(ValueError):
             idjc.StateVector(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("amp", [[math.nan, 0.0], [1.0, complex(0.0, math.nan)]])
+    def test_rejects_nan(self, amp):
+        with pytest.raises(ValueError, match="not normalized"):
+            idjc.StateVector(np.array(amp))
+
     def test_normalized_classmethod(self):
         psi = idjc.StateVector.normalized([1.0, 1.0j])
         assert abs(abs(psi.amplitudes[0]) ** 2 - 0.5) < 1e-15
@@ -144,6 +149,13 @@ class TestDensityMatrix:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
             idjc.DensityMatrix(np.eye(4, dtype=complex))
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)], ids=["coherence", "population"])
+    def test_rejects_nan(self, entry):
+        el = np.diag([0.5, 0.5]).astype(complex)
+        el[entry] = math.nan
+        with pytest.raises(ValueError):
+            idjc.DensityMatrix(el)
 
     def test_min_eigenvalue_of_valid_state(self, mixture5):
         assert mixture5.min_eigenvalue() >= -1e-10
@@ -188,6 +200,16 @@ class TestMix:
             idjc.mix([(-0.5, rho), (1.5, rho)])
         with pytest.raises(WeightMismatch):
             idjc.mix([])
+
+    @pytest.mark.parametrize("weights", [(math.nan,), (math.nan, 1.0), (-0.5, 1.5)])
+    def test_nan_or_negative_weight_is_refused(self, weights):
+        psi = idjc.make_coherent(0.0, 4)
+        components = [(w, psi) for w in weights]
+        for refuse in (idjc.fock.mixture_weights,
+                       lambda c: idjc.sweep_branches(c, [0.0, 1.0])):
+            with pytest.raises(WeightMismatch, match="must be nonnegative numbers") as err:
+                refuse(components)
+            assert "negative weight" not in str(err.value)
 
     def test_dim_mismatch(self):
         a = idjc.pure_density(idjc.make_coherent(0.0, 4))

@@ -275,6 +275,34 @@ def test_failed_self_check_writes_nothing(tmp_path, monkeypatch, scenario, modul
     assert list(tmp_path.iterdir()) == []
 
 
+def test_q_out_of_bounds_fails_without_self_check(tmp_path, monkeypatch):
+    """The Q bound holds for every valid Q, so a grid outside it is refused on every run."""
+    monkeypatch.setattr(husimi, "q_sweep", above_one_over_pi(husimi.q_sweep))
+    out = str(tmp_path / "q.csv")
+    assert main(["run", "--scenario", "qfunc-mixture", "--alpha", "3", "--x-min=-5",
+                 "--x-max", "5", "--y-min=-5", "--y-max", "5", "--nx", "9", "--ny", "7",
+                 "--out", out]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scenario", ["cat-transition", "ordinary-contrast", "qfunc-mixture"])
+def test_unwritten_oracle_columns_are_computed_only_under_self_check(tmp_path, monkeypatch,
+                                                                    scenario):
+    flags = {"alpha": 3.0, "tau_steps": 21, "x_min": -5.0, "x_max": 5.0, "y_min": -5.0,
+             "y_max": 5.0, "nx": 9, "ny": 7, "tau_values": (0.0, 0.9)}
+    expected = run_scenario(base_config(tmp_path, scenario, output_path=str(tmp_path / "a.csv"),
+                                        **flags))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed form computed without --self-check")
+
+    for name in ("purity_mixture_closed", "inversion_cat_closed", "q_mixture_closed"):
+        monkeypatch.setattr(closed_form, name, refuse)
+    paths = run_scenario(base_config(tmp_path, scenario, output_path=str(tmp_path / "b.csv"),
+                                     **flags))
+    assert [p.read_bytes() for p in paths] == [p.read_bytes() for p in expected]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("scenario", ["purity-mixture", "inversion-cat",
                                           "cat-transition", "ordinary-contrast"])

@@ -1,7 +1,9 @@
-"""Architecture rules of src/idjc, checked on its parsed source: one owner per rule."""
+"""Architecture rules of src/idjc and of the independent model route, checked on parsed source."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "idjc"
 TREES = {path.stem: ast.parse(path.read_text(), filename=str(path))
@@ -81,3 +83,37 @@ def test_scenarios_runs_the_grid_rule_once():
              if isinstance(node, ast.Call) and mentions(node.func, "_grid_axes")]
     assert len(calls) == 1, calls
     assert not any(mentions(tree, "_q_series_levels") for tree in TREES.values())
+
+
+def test_one_function_compares_with_the_self_check_tolerance():
+    comparers = [(stem, node.name) for stem, tree in TREES.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and any(isinstance(sub, ast.Compare) and mentions(sub, "SELF_CHECK_ATOL")
+                         for sub in ast.walk(node))]
+    assert len(comparers) == 1, comparers
+
+
+def test_only_run_scenario_reads_self_check():
+    tree = TREES["scenarios"]
+    inside = {id(node) for node in ast.walk(function(tree, "run_scenario"))}
+    readers = [node.lineno for node in ast.walk(tree)
+               if ((isinstance(node, ast.Name) and node.id == "self_check")
+                   or (isinstance(node, (ast.arg, ast.keyword)) and node.arg == "self_check"))
+               and id(node) not in inside]
+    assert readers == []
+
+
+@pytest.mark.parametrize("oracle", ["purity_mixture_closed", "inversion_cat_closed"])
+def test_scenarios_call_each_scalar_oracle_at_one_site(oracle):
+    calls = [node.lineno for node in ast.walk(TREES["scenarios"])
+             if isinstance(node, ast.Call) and mentions(node.func, oracle)]
+    assert len(calls) == 1, calls
+
+
+def test_the_hamiltonian_route_uses_no_engine_weights():
+    """tests/test_model.py is a reference only while it restates none of the engine's map."""
+    path = Path(__file__).resolve().parent / "test_model.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    engine = {node.name for node in ast.walk(TREES["dynamics"])
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("kraus_")}
+    assert not [name for name in engine | {"_branch_weights"} if mentions(tree, name)]
