@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, TailLeak
-from .fock import DensityMatrix, mixture_weights
+from .fock import DensityMatrix, StateVector, mixture_weights
 
 INTENSITY_DEPENDENT = "intensity_dependent"
 ORDINARY = "ordinary"
@@ -335,7 +335,8 @@ def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
     components: (weight, StateVector) pairs, the field state
     sum_k w_k |v_k><v_k| with the atom excited; weights follow the rule of
     :func:`idjc.fock.mix`.  targets: amplitude rows of the states to take
-    fidelities with.  Inputs are checked once per call by the rules of
+    fidelities with, each held to the rule of StateVector (ValueError if not
+    unit norm).  Inputs are checked once per call by the rules of
     EvolutionParams and of evolve_field.
 
     Component k evolves into the stay branch a_k[n] = cos(phi_n) v_k[n] and
@@ -352,6 +353,8 @@ def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
     if goals.size and goals.shape[1:] != (dim,):
         raise DimMismatch(f"target rows of shape {goals.shape[1:]} != ensemble dim {dim}")
     goals = goals.reshape(-1, dim)
+    for row in goals:
+        StateVector(row)
 
     m = len(weights)
     pair_weights = np.outer(weights, weights).ravel()

@@ -4,8 +4,9 @@ Each scenario sweeps the dimensionless time tau = lambda*t and writes one
 CSV or JSON table; the phase-space scenario writes one grid file per
 requested tau.  Identical configuration produces byte-identical files on
 every run: floats are serialized with 17 significant digits (lossless round
-trip).  Every scenario evaluates its tau grid on the branch sweep of
-:mod:`idjc.dynamics`; the Q grids come from :func:`idjc.husimi.q_sweep`.
+trip), each CSV cell as "%.17g" formats it, one % per block of rows.  Every
+scenario evaluates its tau grid on the branch sweep of :mod:`idjc.dynamics`;
+the Q grids come from :func:`idjc.husimi.q_sweep`.
 Each runner returns its tables and its check pairs (engine name, engine
 column, oracle name, oracle), the oracle a zero-argument callable giving the
 closed-form column; run_scenario alone compares them, under --self-check, so
@@ -33,6 +34,9 @@ GRID_FIELDS = ("x_min", "x_max", "y_min", "y_max", "nx", "ny")
 SELF_CHECK_ATOL = 1e-9
 
 DEFAULT_QFUNC_TAUS = (0.0, math.pi / 4.0, math.pi / 2.0)
+
+#: Rows of a CSV table formatted by one % operation; bounds the text held at once.
+CSV_BLOCK_ROWS = 4096
 
 #: The most floats one numpy array can hold, whose byte count must fit an intp:
 #: np.linspace raises, not always ValueError, for more tau_steps, nx or ny.
@@ -219,34 +223,15 @@ def _coherent_mixture(alpha: float, dim: int) -> list[tuple[float, fock.StateVec
     return [(0.5, fock.make_coherent(alpha, dim)), (0.5, fock.make_coherent(-alpha, dim))]
 
 
-def _csv_formatter(tables):
-    """col -> its CSV cells, for the columns of one run's tables.
-
-    A column object that several tables share, like the x and y columns of
-    qfunc-mixture, is formatted once and kept; any other is formatted lazily
-    as it is written.  The memo lives with the returned function, so no run
-    sees another's; its id keys hold because tables keeps every column alive.
-    """
-    uses = [id(col) for _, columns, _ in tables for col in columns]
-    memo = {}
-
-    def cells(col):
-        key = id(col)
-        if key not in memo:
-            formatted = map("{:.17g}".format, np.asarray(col, dtype=float).tolist())
-            if uses.count(key) == 1:
-                return formatted
-            memo[key] = list(formatted)
-        return memo[key]
-
-    return cells
-
-
-def _write_csv(path: Path, header, cells) -> None:
-    """One CSV table from its header and each column's formatted cells."""
+def _write_csv(path: Path, header, columns) -> None:
+    """One CSV table from its header and columns, stacked once and written in row blocks."""
+    table = np.column_stack([np.asarray(col, dtype=float) for col in columns])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: Path, header, columns, metadata) -> None:
@@ -308,7 +293,7 @@ def _run_qfunc_mixture(config, dim):
     taus = config.tau_values if config.tau_values is not None else DEFAULT_QFUNC_TAUS
     grids = husimi.q_sweep(_coherent_mixture(config.alpha, dim), taus, config.x_min,
                            config.x_max, config.y_min, config.y_max, config.nx, config.ny)
-    # one x and one y column object for every grid, so run_scenario formats each once
+    # the grid's points in row order, x slow and y fast, as every table lists them
     x_col = np.repeat(np.linspace(config.x_min, config.x_max, config.nx), config.ny)
     y_col = np.tile(np.linspace(config.y_min, config.y_max, config.ny), config.nx)
     # the closed form is checked on a deterministic subsample (full grids are large)
@@ -381,10 +366,10 @@ def run_scenario(config: ScenarioConfig, self_check: bool = False) -> list[Path]
     It runs config as validate_config reads it, so "5" or 5.0 runs as 5.
     Raises ConfigError for invalid configuration, TruncationTooSmall or
     TailLeak when dim cannot hold the requested states, SelfCheckFailed when
-    a Q leaves [0, 1/pi] or --self-check finds a mismatch, and OSError for
-    filesystem problems.  Nothing is written unless all checks pass, and a
-    failed write leaves none of the run's files: tables go to temporary files
-    first, renamed to their targets once all are written.
+    a Q leaves [0, 1/pi] or --self-check finds a mismatch, and OSError naming
+    the requested path for filesystem problems.  Nothing is written unless all
+    checks pass, and a failed write leaves none of the run's files: tables go
+    to temporary files first, renamed to their targets once all are written.
     """
     config, errors = _read_and_check(config)
     if errors:
@@ -395,19 +380,20 @@ def run_scenario(config: ScenarioConfig, self_check: bool = False) -> list[Path]
         _check_pairs(pairs)
     paths = _output_paths(config, len(tables))
     temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
-    cells = _csv_formatter(tables)
     placed = []
     try:
-        for temp, (header, columns, extra) in zip(temps, tables):
+        for temp, path, (header, columns, extra) in zip(temps, paths, tables):
             if config.output_format == "csv":
-                _write_csv(temp, header, [cells(col) for col in columns])
+                _write_csv(temp, header, columns)
             else:
                 _write_json(temp, header, columns, _metadata(config, dim, extra))
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
             placed.append(path)
-    except BaseException:
-        for leftover in temps + placed:
-            leftover.unlink(missing_ok=True)
-        raise
+    except OSError as exc:  # name the file asked for, not its temporary
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
+        if len(placed) < len(paths):  # a failed run leaves none of its files
+            for leftover in temps + placed:
+                leftover.unlink(missing_ok=True)
     return paths

@@ -127,16 +127,21 @@ class TestExitCodes:
         assert run_cli("run", "--scenario", "purity-mixture", "--alpha", "5",
                        "--dim", "30", "--out", str(tmp_path / "x.csv")) == 3
 
-    def test_io_error_is_4(self, tmp_path):
+    def test_io_error_is_4(self, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run_cli("run", "--scenario", "purity-mixture", "--tau-steps", "5",
                        "--out", str(missing_dir)) == 4
+        err = capsys.readouterr().err  # the requested path, not its temporary file
+        assert f"'{missing_dir}'" in err and ".tmp" not in err
+        assert not (tmp_path / "no").exists()
 
-    def test_failed_multi_file_write_leaves_nothing(self, tmp_path):
+    def test_failed_multi_file_write_leaves_nothing(self, tmp_path, capsys):
         (tmp_path / "out_t1.csv").mkdir()  # the second grid file cannot be written
         assert run_cli("run", "--scenario", "qfunc-mixture", "--out", str(tmp_path / "out.csv"),
                        *(f"{key}={val}" for key, val in QFUNC_ARGS.items())) == 4
         assert [p.name for p in tmp_path.iterdir()] == ["out_t1.csv"]
+        err = capsys.readouterr().err
+        assert f"'{tmp_path / 'out_t1.csv'}'" in err and ".tmp" not in err
 
     def test_unreadable_config_is_4(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "none.json")) == 4

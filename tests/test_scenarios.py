@@ -12,7 +12,9 @@ from idjc import closed_form, dynamics, husimi
 from idjc.cli import main
 from idjc.errors import ConfigError, SelfCheckFailed
 from idjc.scenarios import (
+    CSV_BLOCK_ROWS,
     ScenarioConfig,
+    _write_csv,
     config_from_mapping,
     resolve_dim,
     run_scenario,
@@ -152,7 +154,12 @@ class TestQfuncMixtureScenario:
                 for g in grids]
 
     def test_csv_cells_belong_to_their_own_run(self, tmp_path):
-        """Two runs in one process, on different grids: no formatted column outlives its run."""
+        """Runs in one process, on different grids, one of more rows than a CSV block.
+
+        Every file holds its own grid's cells, each as format(v, ".17g") writes
+        it, row by row across the block boundary.
+        """
+        assert 65 * 65 > CSV_BLOCK_ROWS
         runs = [
             base_config(tmp_path, "qfunc-mixture", alpha=2.0, x_min=-4.0, x_max=4.0,
                         y_min=-3.0, y_max=5.0, nx=7, ny=5, tau_values=(0.0, 0.4, 1.1),
@@ -160,8 +167,11 @@ class TestQfuncMixtureScenario:
             base_config(tmp_path, "qfunc-mixture", alpha=2.0, x_min=-5.0, x_max=3.0,
                         y_min=-4.0, y_max=4.0, nx=4, ny=6, tau_values=(0.2, 0.9),
                         output_path=str(tmp_path / "b.csv")),
+            base_config(tmp_path, "qfunc-mixture", alpha=2.0, x_min=-4.0, x_max=4.5,
+                        y_min=-3.5, y_max=4.0, nx=65, ny=65, tau_values=(0.3, 1.7),
+                        output_path=str(tmp_path / "c.csv")),
         ]
-        for cfg in runs + runs:  # freed columns' ids get reused by the next run's
+        for cfg in runs + runs:
             paths = run_scenario(cfg)
             tables = self.expected_tables(cfg)
             assert len(paths) == len(tables) == len(cfg.tau_values)
@@ -169,6 +179,15 @@ class TestQfuncMixtureScenario:
                 rows = ("".join(",".join(format(v, ".17g") for v in row) + "\n"
                                 for row in zip(*columns)))
                 assert path.read_text() == "x,y,q\n" + rows
+
+    def test_csv_cells_are_format_17g(self, tmp_path):
+        values = [-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, float(2**53 + 1), -math.inf, math.nan]
+        path = tmp_path / "cells.csv"
+        _write_csv(path, ("v", "w"), (values, values[::-1]))
+        rows = "".join(f"{format(v, '.17g')},{format(w, '.17g')}\n"
+                       for v, w in zip(values, values[::-1]))
+        assert path.read_text() == "v,w\n" + rows
+        assert path.read_text().splitlines()[1:3] == ["-0,nan", "4.9406564584124654e-324,-inf"]
 
     def test_json_carries_each_grid(self, tmp_path):
         cfg = base_config(tmp_path, "qfunc-mixture", alpha=2.0, x_min=-4.0, x_max=4.0,

@@ -117,3 +117,18 @@ def test_the_hamiltonian_route_uses_no_engine_weights():
     engine = {node.name for node in ast.walk(TREES["dynamics"])
               if isinstance(node, ast.FunctionDef) and node.name.startswith("kraus_")}
     assert not [name for name in engine | {"_branch_weights"} if mentions(tree, name)]
+
+
+
+def test_scenarios_format_cells_at_one_site():
+    """One % in _write_csv formats every CSV cell, and nothing keys a cache on id()."""
+    tree = TREES["scenarios"]
+    writer = {id(node) for node in ast.walk(function(tree, "_write_csv"))}
+    sites = [node for node in ast.walk(tree)
+             if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod))
+             or (isinstance(node, ast.Call) and mentions(node.func, "format"))]
+    assert len(sites) == 1 and id(sites[0]) in writer, [node.lineno for node in sites]
+    id_calls = [(stem, node.lineno) for stem, tree in TREES.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "id"]
+    assert id_calls == []

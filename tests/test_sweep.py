@@ -255,6 +255,17 @@ class TestInputChecks:
         with pytest.raises(WeightMismatch):
             idjc.sweep_branches([], [0.1])
 
+    @pytest.mark.parametrize("scale, fill", [(5.0, 0.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_target_rows_follow_state_vector_rule(self, components, scale, fill):
+        """A target row that is no unit-norm state raises as StateVector does."""
+        good = components[0][1].amplitudes
+        bad = scale * good
+        bad[3] += fill
+        with pytest.raises(ValueError, match="not normalized"):
+            idjc.sweep_branches(components, [0.0, 0.5], targets=[good, bad])
+        with pytest.raises(ValueError, match="not normalized"):
+            idjc.StateVector(bad)
+
     def test_empty_grid(self, components):
         sweep = idjc.sweep_branches(components, [], targets=[components[0][1].amplitudes])
         assert sweep.purity_defect.shape == (0,)
