@@ -4,17 +4,20 @@ Each scenario sweeps the dimensionless time tau = lambda*t and writes one
 CSV or JSON table; the phase-space scenario writes one grid file per
 requested tau.  Identical configuration produces byte-identical files on
 every run: floats are serialized with 17 significant digits (lossless round
-trip), each CSV cell as "%.17g" formats it, one % per block of rows.  Every
-scenario evaluates its tau grid on the branch sweep of :mod:`idjc.dynamics`;
-the Q grids come from :func:`idjc.husimi.q_sweep`.
-Each runner returns its tables and its check pairs (engine name, engine
-column, oracle name, oracle), the oracle a zero-argument callable giving the
-closed-form column; run_scenario alone compares them, under --self-check, so
-a closed-form column that no table holds is computed only then.
+trip), each CSV cell as "%.17g" formats it.  Every scenario evaluates its tau
+grid on the branch sweep of :mod:`idjc.dynamics`; the Q grids come from
+:func:`idjc.husimi.q_sweep`.
+Each runner returns the header shared by its tables, their key columns (tau,
+or the grid's x and y), each table's value columns with its JSON metadata,
+and its check pairs (engine name, engine column, oracle name, oracle), the
+oracle a zero-argument callable giving the closed-form column; run_scenario
+alone compares them, under --self-check, so a closed-form column that no
+table holds is computed only then.  The key columns come first in every table.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -35,7 +38,7 @@ SELF_CHECK_ATOL = 1e-9
 
 DEFAULT_QFUNC_TAUS = (0.0, math.pi / 4.0, math.pi / 2.0)
 
-#: Rows of a CSV table formatted by one % operation; bounds the text held at once.
+#: Rows per CSV block, written to every table before the next; bounds the text held at once.
 CSV_BLOCK_ROWS = 4096
 
 #: The most floats one numpy array can hold, whose byte count must fit an intp:
@@ -223,15 +226,39 @@ def _coherent_mixture(alpha: float, dim: int) -> list[tuple[float, fock.StateVec
     return [(0.5, fock.make_coherent(alpha, dim)), (0.5, fock.make_coherent(-alpha, dim))]
 
 
-def _write_csv(path: Path, header, columns) -> None:
-    """One CSV table from its header and columns, stacked once and written in row blocks."""
-    table = np.column_stack([np.asarray(col, dtype=float) for col in columns])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+@contextlib.contextmanager
+def _naming(path: Path):
+    """Re-raise an OSError as one naming path, the file asked for, not its temporary."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
+def _block(columns, start: int) -> np.ndarray:
+    """Rows start to start + CSV_BLOCK_ROWS of columns, stacked as floats."""
+    return np.column_stack([np.asarray(col[start:start + CSV_BLOCK_ROWS], dtype=float)
+                            for col in columns])
+
+
+def _write_csv(files, header, keys, tables) -> None:
+    """A run's CSV tables: table k is the key columns then tables[k], written to files[k].
+
+    files[k] pairs the file written with the path an OSError names.  Row
+    blocks run outside and tables inside: one % formats a block's key cells
+    into a row template whose value slots stay %.17g, and one more % per table
+    fills them, so the key text is formatted once per block for all tables.
+    Each file is reopened to append its next block, so one file is open at a
+    time and the text held at once is one block's.
+    """
+    row = ",".join(["%.17g"] * len(keys) + ["%%.17g"] * (len(header) - len(keys))) + "\n"
+    for start in range(0, len(keys[0]), CSV_BLOCK_ROWS):
+        key_cells = _block(keys, start)
+        template = row * len(key_cells) % tuple(key_cells.ravel().tolist())
+        lead = ",".join(header) + "\n" if start == 0 else ""
+        for (target, path), columns in zip(files, tables, strict=True):
+            with _naming(path), open(target, "a" if start else "w", newline="\n") as fh:
+                fh.write(lead + template % tuple(_block(columns, start).ravel().tolist()))
 
 
 def _write_json(path: Path, header, columns, metadata) -> None:
@@ -272,8 +299,7 @@ def _run_purity_mixture(config, dim):
     taus = _tau_grid(config)
     numeric = dynamics.sweep_branches(_coherent_mixture(config.alpha, dim), taus).purity_defect
     closed = _zeta_closed(config, taus)
-    header = ("tau", "zeta_numeric", "zeta_closed")
-    return ([(header, (taus, numeric, closed), None)],
+    return (("tau", "zeta_numeric", "zeta_closed"), (taus,), [((numeric, closed), None)],
             [("zeta_numeric", numeric, "zeta_closed", lambda: closed)])
 
 
@@ -283,9 +309,8 @@ def _run_inversion_cat(config, dim):
     cat = fock.make_cat(spec, dim)
     numeric = 2.0 * dynamics.sweep_branches([(1.0, cat)], taus).excited_population - 1.0
     closed = _w_closed(config, taus)
-    header = ("tau", "W_numeric", "W_closed")
     extra = {"revival_time": closed_form.revival_time(spec, config.lam)}
-    return ([(header, (taus, numeric, closed), extra)],
+    return (("tau", "W_numeric", "W_closed"), (taus,), [((numeric, closed), extra)],
             [("W_numeric", numeric, "W_closed", lambda: closed)])
 
 
@@ -293,7 +318,7 @@ def _run_qfunc_mixture(config, dim):
     taus = config.tau_values if config.tau_values is not None else DEFAULT_QFUNC_TAUS
     grids = husimi.q_sweep(_coherent_mixture(config.alpha, dim), taus, config.x_min,
                            config.x_max, config.y_min, config.y_max, config.nx, config.ny)
-    # the grid's points in row order, x slow and y fast, as every table lists them
+    # the grid's points in row order, x slow and y fast: the key columns of every table
     x_col = np.repeat(np.linspace(config.x_min, config.x_max, config.nx), config.ny)
     y_col = np.tile(np.linspace(config.y_min, config.y_max, config.ny), config.nx)
     # the closed form is checked on a deterministic subsample (full grids are large)
@@ -306,12 +331,11 @@ def _run_qfunc_mixture(config, dim):
         if float(q_col.min()) < -1e-12 or float(q_col.max()) > 1.0 / math.pi + 1e-12:
             raise SelfCheckFailed(f"Q out of bounds [0, 1/pi]: min {q_col.min():.3e}, "
                                   f"max {q_col.max():.6f}")
-        header = ("x", "y", "q")
         extra = {"tau": float(tau), "normalization": grid.normalization()}
-        outputs.append((header, (x_col, y_col, q_col), extra))
+        outputs.append(((q_col,), extra))
         oracle = functools.partial(closed_form.q_mixture_closed, config.alpha, tau, betas)
         pairs.append(("q", q_col[idx], "q_closed", oracle))
-    return outputs, pairs
+    return ("x", "y", "q"), (x_col, y_col), outputs, pairs
 
 
 def _run_cat_transition(config, dim):
@@ -326,7 +350,7 @@ def _run_cat_transition(config, dim):
     fid_even, fid_odd = sweep.fidelities
     header = ("tau", "P_excited", "fidelity_even_cat_alpha", "fidelity_odd_cat_i_alpha")
     extra = {"revival_time": closed_form.revival_time(spec, config.lam)}
-    return ([(header, (taus, p_exc, fid_even, fid_odd), extra)],
+    return (header, (taus,), [((p_exc, fid_even, fid_odd), extra)],
             [("P_excited", p_exc, "(W_closed+1)/2",
               lambda: (_w_closed(config, taus) + 1.0) / 2.0)])
 
@@ -337,8 +361,7 @@ def _run_ordinary_contrast(config, dim):
     zeta_id = dynamics.sweep_branches(mixture, taus).purity_defect
     zeta_ord = dynamics.sweep_branches(mixture, taus,
                                        coupling=dynamics.ORDINARY).purity_defect
-    header = ("tau", "zeta_ID", "zeta_ordinary")
-    return ([(header, (taus, zeta_id, zeta_ord), None)],
+    return (("tau", "zeta_ID", "zeta_ordinary"), (taus,), [((zeta_id, zeta_ord), None)],
             [("zeta_ID", zeta_id, "zeta_closed", lambda: _zeta_closed(config, taus))])
 
 
@@ -375,25 +398,26 @@ def run_scenario(config: ScenarioConfig, self_check: bool = False) -> list[Path]
     if errors:
         raise ConfigError(errors)
     dim = resolve_dim(config)
-    tables, pairs = _RUNNERS[config.scenario](config, dim)
+    header, keys, tables, pairs = _RUNNERS[config.scenario](config, dim)
     if self_check:
         _check_pairs(pairs)
     paths = _output_paths(config, len(tables))
-    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    files = [(path.with_name(f".{path.name}.{os.getpid()}.tmp"), path) for path in paths]
     placed = []
     try:
-        for temp, path, (header, columns, extra) in zip(temps, paths, tables):
-            if config.output_format == "csv":
-                _write_csv(temp, header, columns)
-            else:
-                _write_json(temp, header, columns, _metadata(config, dim, extra))
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
+        if config.output_format == "csv":
+            _write_csv(files, header, keys, [columns for columns, _ in tables])
+        else:
+            for (temp, path), (columns, extra) in zip(files, tables):
+                with _naming(path):
+                    _write_json(temp, header, keys + columns, _metadata(config, dim, extra))
+        for temp, path in files:
+            with _naming(path):
+                os.replace(temp, path)
             placed.append(path)
-    except OSError as exc:  # name the file asked for, not its temporary
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     finally:
         if len(placed) < len(paths):  # a failed run leaves none of its files
-            for leftover in temps + placed:
-                leftover.unlink(missing_ok=True)
+            for leftover in [temp for temp, _ in files] + placed:
+                if not leftover.is_dir():  # a directory in a temporary's place is not the run's
+                    leftover.unlink(missing_ok=True)
     return paths

@@ -143,6 +143,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"'{tmp_path / 'out_t1.csv'}'" in err and ".tmp" not in err
 
+    def test_failed_grid_write_leaves_nothing(self, tmp_path, capsys):
+        temp = tmp_path / f".out_t1.csv.{os.getpid()}.tmp"
+        temp.mkdir()  # the second grid's temporary file cannot be opened for writing
+        assert run_cli("run", "--scenario", "qfunc-mixture", "--out", str(tmp_path / "out.csv"),
+                       *(f"{key}={val}" for key, val in QFUNC_ARGS.items())) == 4
+        assert [p.name for p in tmp_path.iterdir()] == [temp.name]
+        err = capsys.readouterr().err
+        assert f"'{tmp_path / 'out_t1.csv'}'" in err and ".tmp" not in err
+
     def test_unreadable_config_is_4(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "none.json")) == 4
 

@@ -198,7 +198,7 @@ def test_library_gate_fuzz(config):
     text = _as_config_file(config)
     if text is None:
         return
-    stubs = dict.fromkeys(SCENARIO_NAMES, lambda config, dim: ([], []))
+    stubs = dict.fromkeys(SCENARIO_NAMES, lambda config, dim: (("tau",), ([],), [], []))
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(scenarios._RUNNERS, stubs), \
             contextlib.redirect_stderr(io.StringIO()) as err:
         path = Path(tmp) / "cfg.json"

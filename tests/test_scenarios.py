@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ class TestQfuncMixtureScenario:
                 for g in grids]
 
     def test_csv_cells_belong_to_their_own_run(self, tmp_path):
-        """Runs in one process, on different grids, one of more rows than a CSV block.
+        """Runs in one process on different grids: one of more rows than a CSV block, one of 20 taus.
 
         Every file holds its own grid's cells, each as format(v, ".17g") writes
         it, row by row across the block boundary.
@@ -170,6 +171,10 @@ class TestQfuncMixtureScenario:
             base_config(tmp_path, "qfunc-mixture", alpha=2.0, x_min=-4.0, x_max=4.5,
                         y_min=-3.5, y_max=4.0, nx=65, ny=65, tau_values=(0.3, 1.7),
                         output_path=str(tmp_path / "c.csv")),
+            base_config(tmp_path, "qfunc-mixture", alpha=2.0, x_min=-4.0, x_max=3.0,
+                        y_min=-3.0, y_max=4.5, nx=5, ny=4,
+                        tau_values=tuple(0.15 * k for k in range(20)),
+                        output_path=str(tmp_path / "d.csv")),
         ]
         for cfg in runs + runs:
             paths = run_scenario(cfg)
@@ -183,7 +188,7 @@ class TestQfuncMixtureScenario:
     def test_csv_cells_are_format_17g(self, tmp_path):
         values = [-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, float(2**53 + 1), -math.inf, math.nan]
         path = tmp_path / "cells.csv"
-        _write_csv(path, ("v", "w"), (values, values[::-1]))
+        _write_csv([(path, path)], ("v", "w"), (values,), [(values[::-1],)])
         rows = "".join(f"{format(v, '.17g')},{format(w, '.17g')}\n"
                        for v, w in zip(values, values[::-1]))
         assert path.read_text() == "v,w\n" + rows
@@ -223,6 +228,21 @@ class TestOrdinaryContrastScenario:
         assert data[0, 2] == pytest.approx(0.5, abs=1e-10)
         assert np.all(np.isfinite(data))
 
+    def test_csv_cells_across_a_block_boundary(self, tmp_path):
+        """A sweep of more taus than a CSV block holds, each cell as format(v, ".17g") writes it."""
+        cfg = base_config(tmp_path, "ordinary-contrast", alpha=2.0, tau_steps=4100)
+        assert cfg.tau_steps > CSV_BLOCK_ROWS
+        (path,) = run_scenario(cfg)
+        taus = np.linspace(0.0, cfg.tau_max, cfg.tau_steps)
+        dim = resolve_dim(cfg)
+        mixture = [(0.5, idjc.make_coherent(cfg.alpha, dim)),
+                   (0.5, idjc.make_coherent(-cfg.alpha, dim))]
+        ordinary = dynamics.sweep_branches(mixture, taus, coupling=dynamics.ORDINARY)
+        columns = (taus, dynamics.sweep_branches(mixture, taus).purity_defect,
+                   ordinary.purity_defect)
+        rows = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in zip(*columns))
+        assert path.read_text() == "tau,zeta_ID,zeta_ordinary\n" + rows
+
 
 class TestOutputFormats:
     def test_json_document(self, tmp_path):
@@ -245,6 +265,31 @@ class TestOutputFormats:
         lines = paths[0].read_text().splitlines()[1:]
         for line, row in zip(lines, data):
             assert line == ",".join(format(v, ".17g") for v in row)
+
+
+def test_csv_writer_holds_one_block(tmp_path):
+    """The writer's traced peak stays under a few blocks' text, for 1 table as for 8.
+
+    Each table has three row blocks; text held for a whole table, or for one
+    block of every table at once, would break the bound.
+    """
+    rows = 3 * CSV_BLOCK_ROWS - 100
+    rng = np.random.default_rng(5)
+    keys = (rng.standard_normal(rows), rng.standard_normal(rows))
+    tables = [(rng.standard_normal(rows),) for _ in range(8)]
+    peaks = {}
+    for count in (1, 8):
+        files = [(tmp_path / f"t{k}.csv",) * 2 for k in range(count)]
+        _write_csv(files, ("x", "y", "q"), keys, tables[:count])  # files exist, imports done
+        tracemalloc.start()
+        try:
+            _write_csv(files, ("x", "y", "q"), keys, tables[:count])
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    block_text = (tmp_path / "t0.csv").stat().st_size * CSV_BLOCK_ROWS / rows
+    assert peaks[1] < 5 * block_text
+    assert peaks[8] < 1.1 * peaks[1]
 
 
 @pytest.mark.parametrize("scenario", ["purity-mixture", "inversion-cat", "qfunc-mixture",

@@ -121,13 +121,20 @@ def test_the_hamiltonian_route_uses_no_engine_weights():
 
 
 def test_scenarios_format_cells_at_one_site():
-    """One % in _write_csv formats every CSV cell, and nothing keys a cache on id()."""
+    """_write_csv formats every CSV cell, and nothing keys a cache on id().
+
+    Its two % are the only ones in scenarios.py: the key pass, which formats a
+    block's key cells into a row template, and the fill of each table's values.
+    """
     tree = TREES["scenarios"]
     writer = {id(node) for node in ast.walk(function(tree, "_write_csv"))}
-    sites = [node for node in ast.walk(tree)
-             if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod))
-             or (isinstance(node, ast.Call) and mentions(node.func, "format"))]
-    assert len(sites) == 1 and id(sites[0]) in writer, [node.lineno for node in sites]
+    mods = [node for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)]
+    assert len(mods) == 2 and all(id(node) in writer for node in mods), \
+        [node.lineno for node in mods]
+    formats = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and mentions(node.func, "format")]
+    assert formats == []
     id_calls = [(stem, node.lineno) for stem, tree in TREES.items() for node in ast.walk(tree)
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "id"]
