@@ -30,10 +30,10 @@ DEFAULT_TAIL_LEAK_TOL of it).  sweep_branches covers a whole tau grid
 for an ensemble of pure states with the atom excited: each component v
 evolves into exactly two field branches, stay cos(phi_n) v_n and flip
 -i sin(phi_(n-1)) v_(n-1), so purity, excited population and fidelities
-are sums of branch overlaps.  Every overlap is a real (taus x levels)
-trigonometric block times a fixed complex vector of level products,
-evaluated over fixed-size tau blocks; no evolved matrix is ever built, and
-the temporaries do not grow with the number of taus.
+are sums of branch overlaps, taken over fixed-size tau blocks; no evolved
+matrix is ever built, and the temporaries do not grow with the number of
+taus.  The purity pairs the ensemble with itself: real trigonometric blocks
+times fixed complex vectors of level products.
 Both paths take the cos and sin of the pair phases, for one tau or a block
 of taus, from _branch_weights, together with the flip branch's source and
 target levels src and dst: the flip weights and products are sliced to
@@ -42,9 +42,10 @@ With the intensity-dependent coupling every phase is tau times an integer,
 so _branch_weights first replaces a tau above 2 pi by atan2(sin tau, cos
 tau), the same angle in (-pi, pi]: libm reduces tau exactly, and the phases
 keep the digits that the product tau * (n+1) would round away.
-The Husimi Q of the evolved ensemble is such a fidelity sum with coherent
-targets; :func:`idjc.husimi.q_sweep` takes it from the branches that
-_branch_block builds per tau block, one matrix product per grid row.  Both
+A fidelity with amplitude rows r, F_r = sum_k w_k (|<r|a_k>|^2 + |<r|b_k>|^2),
+comes from _branch_fidelities alone, against the branches that _branch_block
+builds per tau block; so do the Q of :func:`idjc.husimi.q_sweep` (coherent
+rows) and its guard's top-two population (rows |dim-2> and |dim-1>).  Both
 sweeps walk their tau blocks through _tau_blocks: this module owns the walk.
 """
 
@@ -269,15 +270,13 @@ class BranchSweep:
     fidelities: np.ndarray
 
 
-def _pair_products(left: np.ndarray, right: np.ndarray,
-                   src: slice, dst: slice) -> tuple[np.ndarray, np.ndarray]:
-    """conj(x[n]) y[n] over all levels, and conj(x[dst]) y[src], for x in left and y in right.
+def _pair_products(vecs: np.ndarray, src: slice, dst: slice) -> tuple[np.ndarray, np.ndarray]:
+    """conj(v_k[n]) v_l[n] over all levels, and conj(v_k[dst]) v_l[src], for rows k, l of vecs.
 
-    Row i*len(right) + j of each product belongs to (left[i], right[j]).
-    Both come back split into real and imaginary columns (see _abs2).
+    Row k*m + l of each belongs to the pair (k, l), split into real and imaginary columns.
     """
-    same = left.conj()[:, None, :] * right[None, :, :]
-    shifted = left.conj()[:, None, dst] * right[None, :, src]
+    same = vecs.conj()[:, None, :] * vecs[None, :, :]
+    shifted = vecs.conj()[:, None, dst] * vecs[None, :, src]
     return tuple(np.concatenate([z.real, z.imag]).reshape(-1, z.shape[-1]).T
                  for z in (same, shifted))
 
@@ -313,19 +312,27 @@ def _tau_blocks(n_taus: int):
     return (slice(s, s + SWEEP_TAU_BLOCK) for s in range(0, n_taus, SWEEP_TAU_BLOCK))
 
 
-def _branch_block(vecs: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Stay and flip branches of every component at each tau of a block.
+def _branch_block(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+                  src: slice, dst: slice) -> np.ndarray:
+    """Stay and flip branches of every amplitude row at each tau of a block.
 
-    Intensity-dependent coupling, atom excited.  Shape (taus, 2m, dim) for m amplitude rows: row k is the stay branch
-    cos(phi_n) v_k[n] and row m + k the flip branch -i sin(phi_(n-1)) v_k[n-1],
-    whose top-level flip leaves the basis and is never formed.
+    cos, sin, src and dst are _branch_weights of the block's taus, for either
+    coupling.  Shape (taus, 2m, dim) for m rows: row k is the stay branch
+    cos(phi_n) v_k[n] and row m + k the flip branch -i sin(phi_src) v_k[src]
+    on dst; the top level's flip leaves the basis and is never formed.
     """
     m, dim = vecs.shape
-    cos, sin, src, dst = _branch_weights(taus, dim, INTENSITY_DEPENDENT)
-    branches = np.zeros((len(taus), 2 * m, dim), dtype=complex)
+    branches = np.zeros((len(cos), 2 * m, dim), dtype=complex)
     branches[:, :m] = cos[:, None, :] * vecs
     branches[:, m:, dst] = -1j * sin[:, None, src] * vecs[:, src]
     return branches
+
+
+def _branch_fidelities(branches: np.ndarray, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """F_r = sum_k w_k (|<r|a_k>|^2 + |<r|b_k>|^2), shape (rows, taus), for a _branch_block."""
+    z = rows.conj() @ branches.reshape(-1, branches.shape[-1]).T
+    overlaps = (z.real ** 2 + z.imag ** 2).reshape(len(rows), -1, branches.shape[1])
+    return overlaps @ np.tile(weights, 2)  # the stay rows, then the flip rows
 
 
 def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
@@ -356,11 +363,9 @@ def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
     for row in goals:
         StateVector(row)
 
-    m = len(weights)
     pair_weights = np.outer(weights, weights).ravel()
     *_, src, dst = _branch_weights(0.0, dim, coupling)  # the flip levels, the same at every tau
-    same, up = _pair_products(vecs, vecs, src, dst)
-    goal_same, goal_up = _pair_products(goals, vecs, src, dst)
+    same, up = _pair_products(vecs, src, dst)
     pops = weights @ (vecs.real ** 2 + vecs.imag ** 2)
 
     purity = np.empty(taus.size)
@@ -373,7 +378,8 @@ def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
                     + 2.0 * _abs2(cos[:, dst] * flip, up))
         purity[block] = 1.0 - overlaps @ pair_weights
         excited[block] = cos2 @ pops
-        branch = _abs2(cos, goal_same) + _abs2(flip, goal_up)
-        fids[block] = branch.reshape(len(cos), len(goals), m) @ weights
+        if len(goals):
+            branches = _branch_block(vecs, cos, sin, src, dst)
+            fids[block] = _branch_fidelities(branches, weights, goals).T
     return BranchSweep(purity_defect=purity, excited_population=excited,
                        fidelities=fids.T.copy())

@@ -6,10 +6,10 @@ in log space with the phase tracked separately, so |beta| ~ 10 against
 photon numbers in the hundreds stays well inside double range.
 
 q_grid takes any density matrix.  q_sweep takes an evolving pure-state
-ensemble and a tau grid: Q is the weighted sum of the squared coherent
-overlaps of every component's stay and flip branches, built once per tau
-block and contracted with each grid row's coherent amplitudes in one matrix
-product; :mod:`idjc.dynamics` owns the block walk and the block size.
+ensemble and a tau grid: Q at beta is the fidelity of the evolved
+ensemble with the coherent state |beta>, over pi.  :mod:`idjc.dynamics`
+owns that sum (_branch_fidelities, one matrix product per grid row against
+the branches built once per tau block), the block walk and the block size.
 This module is the engine side only: the independent Q series of the
 evolved mixture, which takes one point or an array of them, lives with
 every other series oracle in :mod:`idjc.closed_form`.
@@ -25,7 +25,8 @@ import numpy as np
 # Re-exported because perfbench/checks.py and perfbench/tracer.py call and wrap
 # husimi.q_mixture_closed.
 from .closed_form import q_mixture_closed  # noqa: F401
-from .dynamics import _branch_block, _checked_ensemble, _tau_blocks
+from .dynamics import (INTENSITY_DEPENDENT, _branch_block, _branch_fidelities, _branch_weights,
+                       _checked_ensemble, _tau_blocks)
 from .errors import TruncationTooSmall
 from .fock import DensityMatrix, _coherent_amplitudes, photon_distribution, poisson_tail
 
@@ -131,10 +132,6 @@ def q_grid(rho: DensityMatrix, x_min: float, x_max: float, y_min: float, y_max: 
                  nx=nx, ny=ny, values=values)
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real ** 2 + z.imag ** 2
-
-
 def q_sweep(components, taus, x_min: float, x_max: float, y_min: float, y_max: float,
             nx: int = 161, ny: int = 161, guard_tol: float = DEFAULT_GUARD_TOL) -> list[QGrid]:
     """Q of an evolved pure-state ensemble on a rectangular grid, one QGrid per tau.
@@ -144,25 +141,22 @@ def q_sweep(components, taus, x_min: float, x_max: float, y_min: float, y_max: f
 
     The taus are taken in the blocks of dynamics._tau_blocks.  Each block's
     stay and flip branches a_k, b_k are built once, and each grid row's
-    coherent amplitudes once per block; then Q = sum_k w_k (|<beta|a_k>|^2
-    + |<beta|b_k>|^2) / pi for the whole row and block is one matrix product.
-    The guard's top-two population is the same sum over levels dim-2 and
-    dim-1.  Memory: block x 2m x dim complex numbers for m components, plus
-    ny x dim for the row.
+    coherent amplitudes once per block; dynamics._branch_fidelities then gives
+    Q = sum_k w_k (|<beta|a_k>|^2 + |<beta|b_k>|^2) / pi for the whole row and
+    block in one matrix product, and the guard's top-two population as the
+    same sum with the rows |dim-2> and |dim-1>.  Memory: block x 2m x dim
+    complex numbers for m components, plus ny x dim for the row.
     """
     xs, ys, corner_sq = _grid_axes(x_min, x_max, y_min, y_max, nx, ny)
     weights, vecs, taus = _checked_ensemble(components, taus)
     dim = vecs.shape[1]
-    per_branch = np.tile(weights, 2)  # the stay rows, then the flip rows
     values = np.empty((taus.size, nx, ny))
     for block in _tau_blocks(taus.size):
-        branches = _branch_block(vecs, taus[block])
-        top = _abs2(branches[:, :, -2:]).sum(axis=2) @ per_branch
+        branches = _branch_block(vecs, *_branch_weights(taus[block], dim, INTENSITY_DEPENDENT))
+        top = _branch_fidelities(branches, weights, np.eye(2, dim, dim - 2)).sum(axis=0)
         _truncation_guard(float(top.max()), dim, corner_sq, guard_tol)
-        flat = branches.reshape(-1, dim).T
         for i, x in enumerate(xs):
             rows = _coherent_amplitudes(x + 1j * ys, dim)
-            overlaps = _abs2(rows.conj() @ flat).reshape(ny, -1, len(per_branch))
-            values[block, i, :] = (overlaps @ per_branch).T / math.pi
+            values[block, i, :] = _branch_fidelities(branches, weights, rows).T / math.pi
     return [QGrid(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max,
                   nx=nx, ny=ny, values=v) for v in values]

@@ -319,8 +319,8 @@ def _run_qfunc_mixture(config, dim):
     grids = husimi.q_sweep(_coherent_mixture(config.alpha, dim), taus, config.x_min,
                            config.x_max, config.y_min, config.y_max, config.nx, config.ny)
     # the grid's points in row order, x slow and y fast: the key columns of every table
-    x_col = np.repeat(np.linspace(config.x_min, config.x_max, config.nx), config.ny)
-    y_col = np.tile(np.linspace(config.y_min, config.y_max, config.ny), config.nx)
+    x_col = np.repeat(grids[0].xs, config.ny)
+    y_col = np.tile(grids[0].ys, config.nx)
     # the closed form is checked on a deterministic subsample (full grids are large)
     idx = np.arange(0, len(x_col), max(1, len(x_col) // 400))
     betas = x_col[idx] + 1j * y_col[idx]

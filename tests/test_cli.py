@@ -55,6 +55,12 @@ class TestRunOk:
                        "--out", str(out)) == 0
         assert len(out.read_text().splitlines()) == 13  # header + 12 rows
 
+    def test_self_check_at_alpha_64(self, tmp_path):
+        """The series check reads the dropped tail, not the weights' rounding."""
+        assert run_cli("run", "--scenario", "purity-mixture", "--alpha", "64",
+                       "--tau-steps", "3", "--self-check",
+                       "--out", str(tmp_path / "p.csv")) == 0
+
     def test_self_check_mode(self, tmp_path):
         assert run_cli("run", "--scenario", "purity-mixture", "--alpha", "4",
                        "--tau-steps", "25", "--self-check",

@@ -49,6 +49,24 @@ class TestPurityMixtureClosed:
         with pytest.raises(TruncationTooSmall):
             idjc.purity_mixture_closed(ALPHA, 1.0, n_terms=30)
 
+    def test_default_terms_pass_at_large_alpha(self):
+        """The weights sum to 1 - 1.3e-12 at alpha = 64 by rounding; the dropped tail is 6e-23."""
+        raised = []
+        for alpha in [*np.arange(20.0, 150.25, 0.5), 200.0, 500.0, 1000.0]:
+            try:
+                idjc.purity_mixture_closed(alpha, 1.0)
+            except TruncationTooSmall:
+                raised.append(alpha)
+        assert raised == []
+
+    def test_reported_tail_is_the_dropped_mass(self):
+        """Past the mode the check reads an upper bound on the terms it drops (2.6% above here)."""
+        with pytest.raises(TruncationTooSmall) as err:
+            idjc.purity_mixture_closed(ALPHA, 1.0, n_terms=45)
+        missing = float(str(err.value).split(" misses ")[1].split()[0])
+        tail = idjc.fock.poisson_tail(ALPHA**2, 45)
+        assert tail <= missing < 1.05 * tail
+
     @pytest.mark.parametrize("alpha", [0.0, 1e-160])
     def test_vacuum_limit(self, alpha):
         """|e, 0> splits into cos(tau)|e, 0> - i sin(tau)|g, 1>: zeta = sin^2(2 tau) / 2."""

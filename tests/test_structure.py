@@ -65,6 +65,31 @@ def function(tree: ast.AST, name: str) -> ast.FunctionDef:
     return found
 
 
+def calls(node: ast.AST, name: str) -> list[ast.Call]:
+    """Calls of name under node, bare or as an attribute, not calls on what it returns."""
+    return [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
+            and getattr(sub.func, "id", getattr(sub.func, "attr", None)) == name]
+
+
+def test_branch_overlaps_have_one_kernel():
+    """dynamics._branch_fidelities gives every target fidelity, Q value and Q guard population.
+
+    q_sweep squares and contracts no overlap itself, and the pair products
+    serve only the ensemble's own purity, paired with its own rows.
+    """
+    kernel = "_branch_fidelities"
+    assert [stem for stem, tree in TREES.items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == kernel] == ["dynamics"]
+    assert len(calls(function(TREES["dynamics"], "sweep_branches"), kernel)) == 1
+    q_sweep = function(TREES["husimi"], "q_sweep")
+    assert len(calls(q_sweep, kernel)) == 2  # the guard's top two levels and each grid row
+    assert not [node.lineno for node in ast.walk(q_sweep) if isinstance(node, ast.BinOp)
+                and isinstance(node.op, (ast.Pow, ast.MatMult))]
+    assert not mentions(TREES["husimi"], "_abs2")
+    pairs = [call for tree in TREES.values() for call in calls(tree, "_pair_products")]
+    assert [[ast.unparse(arg) for arg in call.args] for call in pairs] == [["vecs", "src", "dst"]]
+
+
 def test_type_rules_live_only_in_config_from_mapping():
     """validate_config reads every config through config_from_mapping and keeps only ranges."""
     tree = TREES["scenarios"]

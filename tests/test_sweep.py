@@ -102,14 +102,16 @@ def test_tau_blocks_cover_each_tau_once(n_taus):
 
 
 def test_grid_spanning_several_tau_blocks():
+    """Both couplings: target fidelities come from each block's branches of that coupling."""
     rng = np.random.default_rng(7)
     components = random_ensemble(rng, 2, 16, support=14)
     targets = [random_state(rng, 16, 16)]
     taus = np.linspace(0.0, 2.5 * math.pi, 3 * idjc.dynamics.SWEEP_TAU_BLOCK + 5)
-    want = dense_reference(components, taus, idjc.INTENSITY_DEPENDENT, targets)
-    got = sweep_columns(idjc.sweep_branches(components, taus,
-                                            targets=[t.amplitudes for t in targets]))
-    assert np.max(np.abs(got - want)) < 1e-12
+    for coupling in COUPLINGS:
+        want = dense_reference(components, taus, coupling, targets)
+        got = sweep_columns(idjc.sweep_branches(components, taus, coupling=coupling,
+                                                targets=[t.amplitudes for t in targets]))
+        assert np.max(np.abs(got - want)) < 1e-12, coupling
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
