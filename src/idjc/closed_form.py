@@ -39,29 +39,23 @@ def poisson_weights(alpha: float, n_terms: int) -> np.ndarray:
     return np.exp(-mean + n * math.log(mean) - gammaln(n + 1))
 
 
-def _check_series(series: str, missing: float, alpha, n_terms: int) -> None:
-    """Reject a series of amplitude alpha whose n_terms miss SERIES_TAIL_TOL of its mass."""
+def _check_series(series: str, weights: np.ndarray, alpha) -> None:
+    """Reject a series of amplitude alpha whose Poisson weights miss SERIES_TAIL_TOL of the mass.
+
+    weights are the first n terms of exp(-m) m^k / k!, m = |alpha|^2.  Term
+    k+1 is term k times m/(k+1), so once n + 1 > m the dropped terms are at
+    most a geometric series after weights[-1] with ratio m/(n+1).  Only below
+    that is 1 - sum(weights) read: past the mode it is rounding, 1.3e-12 at
+    alpha = 64, where the dropped mass is 5.9e-23.
+    """
+    n_terms, mean = len(weights), abs(alpha) ** 2
+    if n_terms and n_terms + 1 > mean:
+        missing = float(weights[-1]) * (mean / n_terms) / (1.0 - mean / (n_terms + 1))
+    else:
+        missing = 1.0 - float(np.sum(weights))
     if not missing < SERIES_TAIL_TOL:
         raise TruncationTooSmall(f"{series} series at amplitude {alpha:g} misses "
                                  f"{missing:.3e} of its mass in {n_terms} terms")
-
-
-def _checked_weights(alpha: float, n_terms: int) -> np.ndarray:
-    """poisson_weights, checked on the mass of the terms from n_terms on.
-
-    Term n+1 is term n times m/(n+1), m = alpha^2, so once n_terms + 1 > m
-    the dropped terms are at most a geometric series after w[-1] with ratio
-    m/(n_terms+1).  Only below that is 1 - sum(w) read: past the mode it is
-    rounding, 1.3e-12 at alpha = 64, where the dropped mass is 5.9e-23.
-    """
-    w = poisson_weights(alpha, n_terms)
-    mean = abs(alpha) ** 2
-    if n_terms + 1 > mean:
-        missing = float(w[-1]) * (mean / n_terms) / (1.0 - mean / (n_terms + 1))
-    else:
-        missing = 1.0 - float(w.sum())
-    _check_series("Poisson", missing, alpha, n_terms)
-    return w
 
 
 def _reduced(tau: float) -> float:
@@ -102,7 +96,9 @@ def purity_mixture_closed(alpha: float, tau: float, n_terms: int | None = None) 
     tau = _reduced(tau)
     if n_terms is None:
         n_terms = default_dim(alpha)
-    amp = np.sqrt(_checked_weights(alpha, n_terms))
+    weights = poisson_weights(alpha, n_terms)
+    _check_series("Poisson", weights, alpha)
+    amp = np.sqrt(weights)
     alt = (-1.0) ** np.arange(n_terms)
     phase = tau * np.arange(1.0, n_terms + 1.0)
     stay = amp * np.cos(phase)
@@ -182,12 +178,14 @@ def evolved_cat_branches(spec: CatSpec, tau: float, dim: int):
     atom-still-excited branch, cos(tau*(n+1)) on the initial amplitudes;
     flip[n] is the photon-added branch, -i sin(tau*n) on the amplitudes
     shifted up one level.  Squared norms add to one (the atom is excited or
-    ground, nothing else), up to the truncation tail, which must stay below
-    SERIES_TAIL_TOL (a dim below 1 holds none of the norm).
+    ground, nothing else), up to the truncation tail of |alpha>'s Poisson
+    weights, which must stay below SERIES_TAIL_TOL (a dim below 1 holds none
+    of the norm).
     """
     n = np.arange(dim)
     tau = _reduced(tau)
     base = _coherent_series(spec.alpha, dim)
+    _check_series("superposition", np.abs(base) ** 2, spec.alpha)
     if spec.parity_r == -1:
         # sqrt(norm_const) = 1 / (2 |alpha| sqrt(G)), G = expm1(x) / x at x = -2 |alpha|^2,
         # overflows at tiny alpha; <n|alpha> = alpha <n-1|alpha> / sqrt(n) cancels 1/|alpha|
@@ -197,20 +195,10 @@ def evolved_cat_branches(spec: CatSpec, tau: float, dim: int):
     else:
         scale = math.sqrt(spec.norm_const)
     base = base * (1.0 + spec.parity_r * (-1.0) ** n) * scale
-    _check_series("superposition", 1.0 - float(np.vdot(base, base).real), spec.alpha, dim)
     stay = base * np.cos(tau * (n + 1.0))
     flip = np.zeros(dim, dtype=complex)
     flip[1:] = -1j * np.sin(tau * n[1:].astype(float)) * base[:-1]
     return stay, flip
-
-
-def _q_series_terms(peak: float) -> int:
-    """Terms q_mixture_closed sums by default when max |beta| * |alpha| is peak.
-
-    The overlap <beta|n><n|+-a> is Poisson-like with mean |beta a|, so the
-    series is sized as a coherent state of amplitude sqrt(peak), plus margin.
-    """
-    return default_dim(math.sqrt(peak)) + 8
 
 
 def q_mixture_closed(alpha: float, tau: float, beta,
@@ -222,15 +210,17 @@ def q_mixture_closed(alpha: float, tau: float, beta,
     stay branch, cos(tau(n+1)) <n|+-a> on level n, and the flip branch,
     -i sin(tau(n+1)) <n|+-a> on level n+1, of each mixture component; the
     four squared magnitudes carry the whole value (a proper mixture has no
-    cross terms between its components).
+    cross terms between its components).  The overlap <beta|n><n|+-a> is
+    Poisson-like with mean peak = max |beta| * |a|, so the series is sized by
+    default as a coherent state of amplitude sqrt(peak), plus margin.
     """
     alpha = float(alpha)
     tau = _reduced(tau)
     beta = np.asarray(beta, dtype=complex)
-    peak = float(np.max(np.abs(beta), initial=0.0)) * abs(alpha)
+    root = math.sqrt(float(np.max(np.abs(beta), initial=0.0)) * abs(alpha))
     if n_terms is None:
-        n_terms = _q_series_terms(peak)
-    _checked_weights(math.sqrt(peak), n_terms)
+        n_terms = default_dim(root) + 8
+    _check_series("Poisson", poisson_weights(root, n_terms), root)
     n = np.arange(n_terms)
     plus = _coherent_series(alpha, n_terms)
     components = np.stack([plus, plus * (-1.0) ** n], axis=-1)

@@ -22,7 +22,6 @@ import functools
 import json
 import math
 import os
-import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -129,11 +128,11 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     The config is first read as a config file is, by config_from_mapping, whose
     errors are the verdict if it fails.  Every float must be finite: an
     infinite tau_max or a NaN tau would otherwise run and write NaN rows.  So
-    must every pair phase: a tau times the number of levels, of the engine's
-    basis or of the oracles' default series (for qfunc-mixture the Q series
-    out to the grid corner), that overflows would give NaN rows too.  Every
-    count must fit its array: tau_steps, nx and ny at most _MAX_LENGTH, and
-    the level count of alpha or of an explicit dim at most _MAX_LEVELS.
+    must the largest pair phase of ordinary-contrast's ordinary sweep,
+    tau_max * sqrt(dim); every intensity-dependent tau is reduced mod 2 pi
+    before it forms a phase, so no other tau overflows one.  Every count must
+    fit its array: tau_steps, nx and ny at most _MAX_LENGTH, and the level
+    count of alpha or of an explicit dim at most _MAX_LEVELS.
     """
     return _read_and_check(config)[1]
 
@@ -177,31 +176,27 @@ def _read_and_check(config: ScenarioConfig) -> tuple[ScenarioConfig, list[str]]:
     too_long = [name for name in ("tau_steps", "nx", "ny")
                 if (getattr(config, name) or 0) > _MAX_LENGTH]
     grid = [getattr(config, name) for name in GRID_FIELDS]
-    grid_errors, corner_sq = [], None  # the grid error comes last
+    grid_errors = []  # the grid error comes last
     if config.scenario == "qfunc-mixture" and None in grid:
         missing = ", ".join(name for name, value in zip(GRID_FIELDS, grid) if value is None)
         grid_errors.append("grid: qfunc-mixture needs explicit bounds and resolution; "
                            f"missing {missing}")
     elif config.scenario == "qfunc-mixture" and not too_long:
         try:
-            *_, corner_sq = husimi._grid_axes(*grid)
+            husimi._grid_axes(*grid)
         except ValueError as exc:
             grid_errors.append(f"grid: {exc}")
     if alpha_ok and dim_ok:
-        levels = max(resolve_dim(config), fock.default_dim(config.alpha))
-        if corner_sq is not None:  # the Q oracle's terms out to the grid corner
-            levels = max(levels, closed_form._q_series_terms(math.sqrt(corner_sq) * config.alpha))
-        cap = levels if levels <= sys.float_info.max else math.inf  # inf: no float holds it
-        phase_errors = [f"{name}: the pair phase tau * {levels} overflows"
-                        for name, taus in (("tau_max", [config.tau_max]),
-                                           ("tau_values", config.tau_values))
-                        if any(_finite(t) and not math.isfinite(t * cap) for t in taus or ())]
         counts = [("alpha", fock.default_dim(config.alpha))]
         if config.dim != "auto":
             counts.append(("dim", config.dim))
-        errors += phase_errors or [  # an overflowing phase already says the basis is too large
-            f"{name}: sizes {count} Fock levels, more than an int64 holds ({_MAX_LEVELS})"
-            for name, count in counts if count > _MAX_LEVELS]
+        too_many = [f"{name}: sizes {count} Fock levels, more than an int64 holds ({_MAX_LEVELS})"
+                    for name, count in counts if count > _MAX_LEVELS]
+        errors += too_many
+        # only the ordinary coupling forms a phase from an unreduced tau, tau * sqrt(n + 1)
+        if (not too_many and config.scenario == "ordinary-contrast" and _finite(config.tau_max)
+                and not math.isfinite(config.tau_max * math.sqrt(dim := resolve_dim(config)))):
+            errors.append(f"tau_max: the ordinary pair phase tau * sqrt({dim}) overflows")
     for name, value in zip(GRID_FIELDS, grid[:4]):
         if value is not None and not _finite(value):
             errors.append(f"{name}: must be finite, got {value!r}")

@@ -219,22 +219,37 @@ class TestNonFiniteInput:
         ("inversion-cat", "--tau-max", "1e307"),
         ("qfunc-mixture", "--tau-values", "0,1e308"),
     ])
-    def test_overflowing_pair_phase(self, tmp_path, capsys, scenario, flag, value):
-        """A finite tau whose phase tau * dim overflows would write NaN rows."""
+    def test_overflowing_pair_phase(self, tmp_path, scenario, flag, value):
+        """tau * dim overflows, but both routes reduce an intensity-dependent tau mod 2 pi first."""
         args = dict(QFUNC_ARGS, **{"--alpha": "1", "--tau-steps": "3", flag: value})
         assert run_cli("run", "--scenario", scenario, "--out", str(tmp_path / "o.csv"),
-                       *(f"{key}={val}" for key, val in args.items())) == 2
-        assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')}: ")
-        assert list(tmp_path.iterdir()) == []
+                       *(f"{key}={val}" for key, val in args.items()), "--self-check") == 0
+        written = list(tmp_path.iterdir())
+        assert written and all(math.isfinite(v) for path in written
+                               for v in _written_numbers(path))
 
-    def test_overflowing_q_series_phase(self, tmp_path, capsys):
-        """tau * 18 fits the engine's basis, but the Q oracle's 82 terms out to the corner do not."""
+    def test_overflowing_q_series_phase(self, tmp_path):
+        """tau * 82, the Q oracle's terms out to the corner, overflows; the oracle reduces tau."""
         args = ["--alpha", "1", "--x-min=-16", "--x-max", "16", "--y-min=-16", "--y-max", "16",
-                "--nx", "5", "--ny", "5", "--tau-values", "6e306", "--self-check"]
+                "--nx", "5", "--ny", "5", "--tau-values", "6e306,1e308", "--self-check"]
         assert run_cli("run", "--scenario", "qfunc-mixture", "--out", str(tmp_path / "q.csv"),
-                       *args) == 2
-        assert capsys.readouterr().err.startswith("error: tau_values: the pair phase tau * 82 ")
-        assert list(tmp_path.iterdir()) == []
+                       *args) == 0
+        written = sorted(tmp_path.iterdir())
+        assert [path.name for path in written] == ["q_t0.csv", "q_t1.csv"]
+        assert all(math.isfinite(v) for path in written for v in _written_numbers(path))
+
+    @pytest.mark.parametrize("tau_max,code", [("4e307", 0), ("5e307", 2)])
+    def test_ordinary_pair_phase(self, tmp_path, capsys, tau_max, code):
+        """The ordinary sweep's phase tau * sqrt(18) is not reduced: it must stay finite."""
+        assert run_cli("run", "--scenario", "ordinary-contrast", "--alpha", "1", "--tau-steps",
+                       "3", "--tau-max", tau_max, "--self-check",
+                       "--out", str(tmp_path / "o.csv")) == code
+        if code:
+            assert capsys.readouterr().err == ("error: tau_max: the ordinary pair phase "
+                                               "tau * sqrt(18) overflows\n")
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert all(math.isfinite(v) for v in _written_numbers(tmp_path / "o.csv"))
 
     @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
     @pytest.mark.parametrize("value", ["2e154", "1.7976931348623157e308"])

@@ -188,14 +188,40 @@ class TestEvolvedCatBranches:
 
     def test_branch_norms_sum_to_one(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            alpha = rng.uniform(0.5, 5.0)
+        for alpha in [*rng.uniform(0.5, 5.0, 20), 20.0, 64.0, 100.0, 300.0]:
             parity_r = int(rng.choice([-1, 0, 1]))
             tau = rng.uniform(0.0, 2 * math.pi)
             spec = idjc.CatSpec(alpha=alpha, parity_r=parity_r)
             stay, flip = idjc.evolved_cat_branches(spec, tau, idjc.default_dim(alpha))
             total = np.vdot(stay, stay).real + np.vdot(flip, flip).real
             assert abs(total - 1.0) < 1e-10
+
+    def test_default_dim_holds_large_alpha(self):
+        """The dropped mass is read from the Poisson weights, not from 1 - |base|^2.
+
+        Past alpha ~ 64 that difference is rounding, above SERIES_TAIL_TOL
+        although the true tail is near 1e-22.
+        """
+        for alpha in np.arange(20.0, 150.25, 0.5):
+            for parity_r in (-1, 0, 1):
+                idjc.evolved_cat_branches(idjc.CatSpec(float(alpha), parity_r), 0.7,
+                                          idjc.default_dim(alpha))
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 5.0, 20.0, 64.0])
+    def test_truncation_verdict_is_make_cats(self, alpha):
+        """Every dim that make_cat refuses for too much tail, and only those, is refused here."""
+        for parity_r in (-1, 0, 1):
+            spec = idjc.CatSpec(alpha, parity_r)
+            for dim in range(max(2, int(alpha**2) - 5), idjc.default_dim(alpha) + 3):
+                verdicts = []
+                for build in (lambda: idjc.make_cat(spec, dim),
+                              lambda: idjc.evolved_cat_branches(spec, 0.7, dim)):
+                    try:
+                        build()
+                        verdicts.append(True)
+                    except TruncationTooSmall:
+                        verdicts.append(False)
+                assert verdicts[0] == verdicts[1], (parity_r, dim, verdicts)
 
     @pytest.mark.parametrize("parity_r", [-1, 1])
     def test_matches_engine(self, parity_r):

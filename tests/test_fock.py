@@ -33,6 +33,12 @@ class TestDefaultDim:
         for alpha in (0.5, 2.0, 5.0, 7.0):
             assert idjc.poisson_tail(alpha**2, idjc.default_dim(alpha)) < 1e-12
 
+    def test_tail_bound_holds_for_every_alpha(self):
+        """The docstring's bound, on a fine grid where the tail peaks and a coarse one to 1000."""
+        alphas = np.concatenate([np.linspace(0.01, 10.0, 1000), np.linspace(10.0, 1000.0, 400)])
+        tails = [idjc.poisson_tail(a * a, idjc.default_dim(a)) for a in alphas]
+        assert max(tails) < 1e-14
+
 
 class TestMakeCoherent:
     def test_vacuum(self):

@@ -408,12 +408,11 @@ class TestLibraryConfigReadLikeAFile:
         ("tau_values", [HUGE], "tau_values: cannot interpret "),
         ("x_min", "a", "x_min: cannot interpret 'a'"),
         ("tau_values", 5, "tau_values: cannot interpret 5"),
-        ("dim", HUGE, "tau_max: the pair phase tau * 1000"),
+        ("dim", HUGE, "dim: sizes 1000"),
     ], ids=["alpha", "lam", "tau_max", "x_min", "tau_values", "x_min-str", "tau_values-int",
             "dim"])
     def test_formerly_raising_value_is_one_field_error(self, tmp_path, field, value, prefix):
-        # no tau_values, so that dim sizes one pair phase, tau_max's
-        cfg = base_config(tmp_path, "qfunc-mixture", **dict(self.GRID, tau_values=None))
+        cfg = base_config(tmp_path, "qfunc-mixture", **self.GRID)
         setattr(cfg, field, value)
         errors = validate_config(cfg)
         assert len(errors) == 1 and errors[0].startswith(prefix), errors

@@ -35,6 +35,50 @@ def mentions(node: ast.AST, name: str) -> bool:
                for sub in ast.walk(node))
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_names_taken(tree: ast.AST) -> set[str]:
+    """Dotted package names with a private part that tree imports or reaches through an import.
+
+    A name imported from inside idjc resolves to its module path, so
+    DensityMatrix._owned after "from .fock import DensityMatrix" reads
+    fock.DensityMatrix._owned, and husimi._grid_axes after "from . import
+    husimi" reads as written.
+    """
+    local = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("idjc")):
+            module = (node.module or "").removeprefix("idjc").lstrip(".")
+            for alias in node.names:
+                local[alias.asname or alias.name] = f"{module}.{alias.name}".lstrip(".")
+    found = {path for path in local.values() if any(map(is_private, path.split(".")))}
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in local and any(map(is_private, chain)):
+            found.add(".".join([local[node.id], *chain]))
+    return found
+
+
+#: Every private name one module of src/idjc takes from another, by taking module.
+PRIVATE_NAMES_TAKEN = {
+    "dynamics": {"fock.DensityMatrix._owned"},
+    "husimi": {"dynamics._branch_block", "dynamics._branch_fidelities",
+               "dynamics._branch_weights", "dynamics._checked_ensemble", "dynamics._tau_blocks",
+               "fock._coherent_amplitudes"},
+    "scenarios": {"husimi._grid_axes"},
+}
+
+
+def test_private_names_cross_modules_only_as_listed():
+    taken = {stem: names for stem, tree in TREES.items() if (names := private_names_taken(tree))}
+    assert taken == PRIVATE_NAMES_TAKEN
+
+
 def test_closed_form_imports_only_catspec_and_default_dim_from_the_engine():
     imports = package_imports(TREES["closed_form"])
     assert not {module for module, _ in imports} & {"dynamics", "husimi", "scenarios"}
