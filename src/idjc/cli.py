@@ -20,7 +20,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError, IdjcError
-from .scenarios import SCENARIO_NAMES, ScenarioConfig, config_from_mapping, run_scenario
+from .scenarios import (GRID_FIELDS, SCENARIO_NAMES, ScenarioConfig, config_from_mapping,
+                        run_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,12 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tau-values", dest="tau_values", type=lambda text: text.split(","),
                      help="comma-separated taus for the qfunc-mixture grids")
     run.add_argument("--dim", help='Fock truncation: "auto" or an integer')
-    run.add_argument("--x-min", dest="x_min")
-    run.add_argument("--x-max", dest="x_max")
-    run.add_argument("--y-min", dest="y_min")
-    run.add_argument("--y-max", dest="y_max")
-    run.add_argument("--nx")
-    run.add_argument("--ny")
+    for name in GRID_FIELDS:
+        run.add_argument(f"--{name.replace('_', '-')}", help=f"Q grid {name}; qfunc-mixture only")
     run.add_argument("--out", dest="output_path", help="output file path")
     run.add_argument("--format", dest="output_format", help="csv or json")
     run.add_argument("--self-check", action="store_true",

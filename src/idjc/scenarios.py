@@ -71,6 +71,7 @@ class ScenarioConfig:
 
 
 _FIELD_NAMES = tuple(f.name for f in fields(ScenarioConfig))
+_UNSET_FIELDS = ("tau_values", *GRID_FIELDS)  # the keys without a default
 
 _INT_FIELDS = ("parity_r", "tau_steps", "nx", "ny")
 _FLOAT_FIELDS = ("alpha", "lam", "tau_max", "x_min", "x_max", "y_min", "y_max")
@@ -132,7 +133,9 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     tau_max * sqrt(dim); every intensity-dependent tau is reduced mod 2 pi
     before it forms a phase, so no other tau overflows one.  Every count must
     fit its array: tau_steps, nx and ny at most _MAX_LENGTH, and the level
-    count of alpha or of an explicit dim at most _MAX_LEVELS.
+    count of alpha or of an explicit dim at most _MAX_LEVELS.  A key without a
+    default is refused unless the scenario reads it (only qfunc-mixture does),
+    so taus asked for by value never give way silently to the tau_max grid.
     """
     return _read_and_check(config)[1]
 
@@ -176,12 +179,15 @@ def _read_and_check(config: ScenarioConfig) -> tuple[ScenarioConfig, list[str]]:
     too_long = [name for name in ("tau_steps", "nx", "ny")
                 if (getattr(config, name) or 0) > _MAX_LENGTH]
     grid = [getattr(config, name) for name in GRID_FIELDS]
+    spec = _SCENARIOS.get(config.scenario)  # None for a missing or unknown scenario
+    unread = [f"{name}: {config.scenario} does not read it" for name in _UNSET_FIELDS
+              if spec and name not in spec.reads and getattr(config, name) is not None]
     grid_errors = []  # the grid error comes last
-    if config.scenario == "qfunc-mixture" and None in grid:
+    if spec and "nx" in spec.reads and None in grid:
         missing = ", ".join(name for name, value in zip(GRID_FIELDS, grid) if value is None)
-        grid_errors.append("grid: qfunc-mixture needs explicit bounds and resolution; "
+        grid_errors.append(f"grid: {config.scenario} needs explicit bounds and resolution; "
                            f"missing {missing}")
-    elif config.scenario == "qfunc-mixture" and not too_long:
+    elif spec and "nx" in spec.reads and not too_long:
         try:
             husimi._grid_axes(*grid)
         except ValueError as exc:
@@ -194,7 +200,7 @@ def _read_and_check(config: ScenarioConfig) -> tuple[ScenarioConfig, list[str]]:
                     for name, count in counts if count > _MAX_LEVELS]
         errors += too_many
         # only the ordinary coupling forms a phase from an unreduced tau, tau * sqrt(n + 1)
-        if (not too_many and config.scenario == "ordinary-contrast" and _finite(config.tau_max)
+        if (not too_many and spec and spec.ordinary and _finite(config.tau_max)
                 and not math.isfinite(config.tau_max * math.sqrt(dim := resolve_dim(config)))):
             errors.append(f"tau_max: the ordinary pair phase tau * sqrt({dim}) overflows")
     for name, value in zip(GRID_FIELDS, grid[:4]):
@@ -202,7 +208,7 @@ def _read_and_check(config: ScenarioConfig) -> tuple[ScenarioConfig, list[str]]:
             errors.append(f"{name}: must be finite, got {value!r}")
     errors += [f"{name}: must be at most {_MAX_LENGTH}, the most floats one array holds, "
                f"got {getattr(config, name)!r}" for name in too_long]
-    return config, errors + grid_errors
+    return config, errors + unread + grid_errors
 
 
 def resolve_dim(config: ScenarioConfig) -> int:
@@ -360,15 +366,22 @@ def _run_ordinary_contrast(config, dim):
             [("zeta_ID", zeta_id, "zeta_closed", lambda: _zeta_closed(config, taus))])
 
 
-_RUNNERS = {
-    "purity-mixture": _run_purity_mixture,
-    "inversion-cat": _run_inversion_cat,
-    "qfunc-mixture": _run_qfunc_mixture,
-    "cat-transition": _run_cat_transition,
-    "ordinary-contrast": _run_ordinary_contrast,
+@dataclass(frozen=True)
+class _Scenario:
+    run: object  # (config, dim) -> the header, key columns, tables and check pairs
+    reads: tuple = ()  # the keys without a default that it reads; those of the grid it needs
+    ordinary: bool = False  # forms ordinary pair phases from an unreduced tau
+
+
+_SCENARIOS = {
+    "purity-mixture": _Scenario(_run_purity_mixture),
+    "inversion-cat": _Scenario(_run_inversion_cat),
+    "qfunc-mixture": _Scenario(_run_qfunc_mixture, reads=("tau_values", *GRID_FIELDS)),
+    "cat-transition": _Scenario(_run_cat_transition),
+    "ordinary-contrast": _Scenario(_run_ordinary_contrast, ordinary=True),
 }
 
-SCENARIO_NAMES = tuple(_RUNNERS)
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def _output_paths(config: ScenarioConfig, count: int) -> list[Path]:
@@ -393,7 +406,7 @@ def run_scenario(config: ScenarioConfig, self_check: bool = False) -> list[Path]
     if errors:
         raise ConfigError(errors)
     dim = resolve_dim(config)
-    header, keys, tables, pairs = _RUNNERS[config.scenario](config, dim)
+    header, keys, tables, pairs = _SCENARIOS[config.scenario].run(config, dim)
     if self_check:
         _check_pairs(pairs)
     paths = _output_paths(config, len(tables))

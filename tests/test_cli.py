@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import idjc.cli
 from idjc.cli import main
-from idjc.scenarios import SCENARIO_NAMES
+from idjc.scenarios import GRID_FIELDS, SCENARIO_NAMES
 
 
 def run_cli(*args):
@@ -221,7 +221,8 @@ class TestNonFiniteInput:
     ])
     def test_overflowing_pair_phase(self, tmp_path, scenario, flag, value):
         """tau * dim overflows, but both routes reduce an intensity-dependent tau mod 2 pi first."""
-        args = dict(QFUNC_ARGS, **{"--alpha": "1", "--tau-steps": "3", flag: value})
+        args = dict(QFUNC_ARGS if scenario == "qfunc-mixture" else {},
+                    **{"--alpha": "1", "--tau-steps": "3", flag: value})
         assert run_cli("run", "--scenario", scenario, "--out", str(tmp_path / "o.csv"),
                        *(f"{key}={val}" for key, val in args.items()), "--self-check") == 0
         written = list(tmp_path.iterdir())
@@ -294,7 +295,8 @@ class TestCountsBeyondIndexing:
     @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
     def test_alpha_level_count(self, tmp_path, capsys, scenario, dim):
         """alpha = 1e150 once reached scipy's Poisson tail with a count beyond int64."""
-        args = dict(QFUNC_ARGS, **{"--alpha": "1e150", "--tau-steps": "3"})
+        args = dict(QFUNC_ARGS if scenario == "qfunc-mixture" else {},
+                    **{"--alpha": "1e150", "--tau-steps": "3"})
         assert run_cli("run", "--scenario", scenario, "--out", str(tmp_path / "o.csv"),
                        *(f"{key}={val}" for key, val in args.items()), *dim) == 2
         levels = idjc.default_dim(1e150)
@@ -422,9 +424,44 @@ class TestConsoleEntryPoint:
         assert out.exists()
 
 
+#: Runs all five scenarios into the directory argv[1], in one child process.
+_ALL_SCENARIOS_CHILD = """
+import sys
+from idjc.cli import main
+sweep = ["--alpha", "10", "--tau-steps", "200"]
+runs = {name: sweep for name in ("purity-mixture", "inversion-cat", "cat-transition",
+                                 "ordinary-contrast")}
+runs["qfunc-mixture"] = ["--alpha", "5", "--x-min=-8", "--x-max", "8", "--y-min=-8",
+                         "--y-max", "8", "--nx", "41", "--ny", "41", "--tau-values", "0,0.7,1.5"]
+for name, args in runs.items():
+    assert main(["run", "--scenario", name, "--out", f"{sys.argv[1]}/{name}.csv", *args]) == 0
+"""
+
+
+def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """idjc starts no threads; numpy's BLAS may, with the same bytes at one and at two threads."""
+    src = str(Path(idjc.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    children = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", _ALL_SCENARIOS_CHILD, str(tmp_path / threads)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env))
+    for child in children:
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+    one, two = ({p.name: p.read_bytes() for p in (tmp_path / n).iterdir()} for n in ("1", "2"))
+    assert len(one) == 7 and one == two
+
+
 # Strategies for the input-gate fuzz.  Every key starts from a small value of
-# its type, the tau fields from huge finite floats too; then up to two keys are
-# left out and up to two get a wrong JSON type or a non-finite float.
+# its type, the tau fields from huge finite floats too; only qfunc-mixture keeps
+# tau_values and the grid, and another scenario keeps one of them on some draws.
+# Then up to two keys are left out and up to two get a wrong JSON type or a
+# non-finite float.
 _NOT_STRINGS = (st.booleans() | st.lists(st.integers(0, 3), max_size=2)
                 | st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1)
                 | st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -450,6 +487,11 @@ def _fuzz_configs(draw):
         "output_path": "out.csv",  # put in the temp dir by the test
         "output_format": draw(st.sampled_from(("csv", "json"))),
     }
+    q_keys = ["tau_values", *GRID_FIELDS]
+    kept = draw(st.none() | st.sampled_from(q_keys))
+    if raw["scenario"] != "qfunc-mixture":  # it alone reads tau_values and the grid
+        for key in set(q_keys) - {kept}:
+            del raw[key]
     for key in draw(st.lists(st.sampled_from(sorted(raw.keys() - {"output_path"})),
                              max_size=2, unique=True)):
         del raw[key]  # not output_path: its default would write outside the temp dir

@@ -5,7 +5,7 @@ import io
 import json
 import math
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import idjc
 from idjc import cli, scenarios
-from idjc.scenarios import SCENARIO_NAMES, ScenarioConfig, validate_config
+from idjc.scenarios import GRID_FIELDS, SCENARIO_NAMES, ScenarioConfig, validate_config
 
 from conftest import params, random_density
 
@@ -163,14 +163,26 @@ GATE_POOL = [math.nan, math.inf, -math.inf, 1e308, 0, 10 ** 400,
              np.int64(600), np.int64(-1), np.float64(2.5), np.float64(math.nan)]
 
 
+#: Small valid values of the keys that only qfunc-mixture reads.
+Q_KEYS = {"tau_values": [0.5], "x_min": -4.0, "x_max": 4.0, "y_min": -4.0, "y_max": 4.0,
+          "nx": 5, "ny": 5}
+
+
 @st.composite
 def _gate_configs(draw):
-    """A small valid config of any scenario with one to three fields drawn from GATE_POOL."""
-    values = {"scenario": draw(st.sampled_from(SCENARIO_NAMES)), "alpha": 2.0,
-              "tau_steps": 5, "x_min": -4.0, "x_max": 4.0, "y_min": -4.0, "y_max": 4.0,
-              "nx": 5, "ny": 5, "output_path": "out.csv"}
+    """A small valid config of any scenario with up to three fields drawn from GATE_POOL.
+
+    qfunc-mixture gets the grid; another scenario gets, on some draws, one key it does not read.
+    """
+    scenario = draw(st.sampled_from(SCENARIO_NAMES))
+    unread = draw(st.none() | st.sampled_from(sorted(Q_KEYS)))
+    values = {"scenario": scenario, "alpha": 2.0, "tau_steps": 5, "output_path": "out.csv"}
+    if scenario == "qfunc-mixture":
+        values.update({key: Q_KEYS[key] for key in GRID_FIELDS})
+    elif unread:
+        values[unread] = Q_KEYS[unread]
     names = [f.name for f in fields(ScenarioConfig)]
-    for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)):
+    for name in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
         values[name] = draw(st.sampled_from(GATE_POOL))
     return ScenarioConfig(**values)
 
@@ -198,8 +210,9 @@ def test_library_gate_fuzz(config):
     text = _as_config_file(config)
     if text is None:
         return
-    stubs = dict.fromkeys(SCENARIO_NAMES, lambda config, dim: (("tau",), ([],), [], []))
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(scenarios._RUNNERS, stubs), \
+    stubs = {name: replace(spec, run=lambda config, dim: (("tau",), ([],), [], []))
+             for name, spec in scenarios._SCENARIOS.items()}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(scenarios._SCENARIOS, stubs), \
             contextlib.redirect_stderr(io.StringIO()) as err:
         path = Path(tmp) / "cfg.json"
         path.write_text(text)

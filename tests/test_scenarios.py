@@ -292,6 +292,22 @@ def test_csv_writer_holds_one_block(tmp_path):
     assert peaks[8] < 1.1 * peaks[1]
 
 
+#: A small grid and two taus: the keys without a default, which qfunc-mixture alone reads.
+QFUNC_KEYS = {"x_min": -5.0, "x_max": 5.0, "y_min": -5.0, "y_max": 5.0, "nx": 9, "ny": 7,
+              "tau_values": (0.0, 0.9)}
+
+
+def q_keys(scenario):
+    return QFUNC_KEYS if scenario == "qfunc-mixture" else {}
+
+
+def as_flags(values):
+    """Config values as --key=value flags, a tuple as its comma-separated items."""
+    return [f"--{key.replace('_', '-')}=" + (",".join(map(str, value))
+                                            if isinstance(value, tuple) else str(value))
+            for key, value in values.items()]
+
+
 @pytest.mark.parametrize("scenario", ["purity-mixture", "inversion-cat", "qfunc-mixture",
                                       "cat-transition", "ordinary-contrast"])
 def test_scenarios_avoid_the_dense_path(tmp_path, monkeypatch, scenario):
@@ -301,8 +317,7 @@ def test_scenarios_avoid_the_dense_path(tmp_path, monkeypatch, scenario):
 
     monkeypatch.setattr(dynamics, "evolve_field", dense)
     monkeypatch.setattr(husimi, "q_grid", dense)
-    cfg = base_config(tmp_path, scenario, alpha=3.0, tau_steps=21, x_min=-5.0, x_max=5.0,
-                      y_min=-5.0, y_max=5.0, nx=9, ny=7, tau_values=(0.0, 0.9))
+    cfg = base_config(tmp_path, scenario, alpha=3.0, tau_steps=21, **q_keys(scenario))
     assert run_scenario(cfg, self_check=True)
 
 
@@ -326,16 +341,14 @@ def test_failed_self_check_writes_nothing(tmp_path, monkeypatch, scenario, modul
                                           fault, message):
     """A closed form off by 1e-8 or a Q above 1/pi stops the run before any file is written."""
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
-    flags = {"alpha": 3.0, "tau_steps": 21, "x_min": -5.0, "x_max": 5.0, "y_min": -5.0,
-             "y_max": 5.0, "nx": 9, "ny": 7}
-    cfg = base_config(tmp_path, scenario, tau_values=(0.0, 0.9), **flags)
+    flags = {"alpha": 3.0, "tau_steps": 21, **q_keys(scenario)}
+    cfg = base_config(tmp_path, scenario, **flags)
     with pytest.raises(SelfCheckFailed) as failure:
         run_scenario(cfg, self_check=True)
     assert message in str(failure.value)
     assert list(tmp_path.iterdir()) == []
-    args = [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
-    assert main(["run", "--scenario", scenario, "--tau-values", "0,0.9", "--self-check",
-                 "--out", cfg.output_path, *args]) == 3
+    assert main(["run", "--scenario", scenario, "--self-check",
+                 "--out", cfg.output_path, *as_flags(flags)]) == 3
     assert list(tmp_path.iterdir()) == []
 
 
@@ -352,8 +365,7 @@ def test_q_out_of_bounds_fails_without_self_check(tmp_path, monkeypatch):
 @pytest.mark.parametrize("scenario", ["cat-transition", "ordinary-contrast", "qfunc-mixture"])
 def test_unwritten_oracle_columns_are_computed_only_under_self_check(tmp_path, monkeypatch,
                                                                     scenario):
-    flags = {"alpha": 3.0, "tau_steps": 21, "x_min": -5.0, "x_max": 5.0, "y_min": -5.0,
-             "y_max": 5.0, "nx": 9, "ny": 7, "tau_values": (0.0, 0.9)}
+    flags = {"alpha": 3.0, "tau_steps": 21, **q_keys(scenario)}
     expected = run_scenario(base_config(tmp_path, scenario, output_path=str(tmp_path / "a.csv"),
                                         **flags))
 
@@ -440,11 +452,100 @@ class TestLibraryConfigReadLikeAFile:
         ("qfunc-mixture", "nx", 5.0),
     ], ids=["tau_steps-int64", "tau_steps-float", "tau_steps-str", "nx-str", "nx-float"])
     def test_number_reads_like_its_flag(self, tmp_path, capsys, scenario, field, value):
+        reads_grid = scenario == "qfunc-mixture"
+        flags = self.FLAGS if reads_grid else self.FLAGS[:4]  # --alpha 2 --tau-steps 5
         flagged = tmp_path / "flag.csv"
-        assert main(["run", "--scenario", scenario, "--out", str(flagged), *self.FLAGS]) == 0
+        assert main(["run", "--scenario", scenario, "--out", str(flagged), *flags]) == 0
         cfg = base_config(tmp_path, scenario, output_path=str(tmp_path / "lib.csv"),
-                          **self.GRID)
+                          **(self.GRID if reads_grid else {"alpha": 2.0, "tau_steps": 5}))
         setattr(cfg, field, value)
         assert validate_config(cfg) == []
         (path,) = run_scenario(cfg)
         assert path.read_bytes() == flagged.read_bytes()
+
+
+SWEEPS = ("purity-mixture", "inversion-cat", "cat-transition", "ordinary-contrast")
+
+
+class TestUnreadKeys:
+    """A key without a default that the scenario does not read exits 2, naming it.
+
+    A sweep given tau_values would otherwise run its tau_max/tau_steps grid in
+    their place, and write nothing to say so.
+    """
+
+    @pytest.mark.parametrize("key", sorted(QFUNC_KEYS))
+    @pytest.mark.parametrize("scenario", SWEEPS)
+    def test_flag_file_and_library_agree(self, tmp_path, capsys, scenario, key):
+        message = f"{key}: {scenario} does not read it"
+        values = {"scenario": scenario, "tau_steps": 3, key: QFUNC_KEYS[key],
+                  "output_path": str(tmp_path / "o.csv")}
+        assert main(["run", "--scenario", scenario, "--tau-steps", "3",
+                     "--out", values["output_path"], *as_flags({key: QFUNC_KEYS[key]})]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        config_file = tmp_path / "cfg.json"
+        config_file.write_text(json.dumps(values))
+        assert main(["run", "--config", str(config_file)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        config = ScenarioConfig(**values)
+        assert validate_config(config) == [message]
+        with pytest.raises(ConfigError) as err:
+            run_scenario(config)
+        assert err.value.field_errors == [message]
+        assert list(tmp_path.iterdir()) == [config_file]
+
+    def test_taus_asked_for_by_value(self, tmp_path, capsys):
+        """Once exited 0 and wrote the rows of tau = 0, pi/2 and pi."""
+        assert main(["run", "--scenario", "purity-mixture", "--tau-values", "0,1",
+                     "--tau-steps", "3", "--nx", "5", "--x-min", "3",
+                     "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: tau_values: purity-mixture does not read it",
+            "error: x_min: purity-mixture does not read it",
+            "error: nx: purity-mixture does not read it",
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_after_range_errors(self, tmp_path):
+        cfg = base_config(tmp_path, "ordinary-contrast", tau_steps=1, nx=2 ** 60, ny=5)
+        assert validate_config(cfg) == [
+            "tau_steps: must be an integer >= 2, got 1",
+            f"nx: must be at most {2 ** 60 - 1}, the most floats one array holds, got {2 ** 60}",
+            "nx: ordinary-contrast does not read it",
+            "ny: ordinary-contrast does not read it",
+        ]
+
+    @pytest.mark.parametrize("scenario,error", [
+        (None, "scenario: required"),
+        ("qfunc", "scenario: unknown scenario 'qfunc', choose from purity-mixture, "
+                  "inversion-cat, qfunc-mixture, cat-transition, ordinary-contrast"),
+    ])
+    def test_not_without_a_known_scenario(self, tmp_path, scenario, error):
+        assert validate_config(base_config(tmp_path, scenario, **QFUNC_KEYS)) == [error]
+
+    def test_qfunc_reads_every_one(self, tmp_path):
+        paths = run_scenario(base_config(tmp_path, "qfunc-mixture", alpha=2.0, **QFUNC_KEYS))
+        assert [path.name for path in paths] == ["out_t0.csv", "out_t1.csv"]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0, 10.0])
+def test_purification_is_the_cat_transition(tmp_path, alpha):
+    """At tau = pi/2, zeta_mix = (1 - exp(-4 alpha^2)) (1 - F_odd) / 2: the paper's results as one.
+
+    The mixture of |alpha> and |-alpha> is p_e |even><even| + p_o |odd><odd|
+    with 2 p_e p_o = (1 - exp(-4 alpha^2)) / 2.  At pi/2 the odd cat returns to
+    the odd cat at i alpha and the even cat evolves to a pure field state, so
+    the purity defect is 2 p_e p_o times one minus the fidelity of the two,
+    which cat-transition writes as fidelity_odd_cat_i_alpha.  Both scenarios'
+    middle row of three taus on [0, pi] is exactly pi/2.
+    """
+    rows = {}
+    for scenario in ("purity-mixture", "cat-transition"):
+        cfg = base_config(tmp_path, scenario, alpha=alpha, tau_steps=3,
+                          output_path=str(tmp_path / f"{scenario}.csv"))
+        header, data = read_csv(run_scenario(cfg)[0])
+        assert data[1, 0] == math.pi / 2
+        rows[scenario] = dict(zip(header, data[1]))
+    zeta = rows["purity-mixture"]["zeta_numeric"]
+    f_odd = rows["cat-transition"]["fidelity_odd_cat_i_alpha"]
+    assert abs(zeta - 0.5 * -math.expm1(-4.0 * alpha**2) * (1.0 - f_odd)) < 1e-13

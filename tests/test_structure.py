@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from idjc.scenarios import SCENARIO_NAMES
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "idjc"
 TREES = {path.stem: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(SRC.glob("*.py"))}
@@ -132,6 +134,28 @@ def test_branch_overlaps_have_one_kernel():
     assert not mentions(TREES["husimi"], "_abs2")
     pairs = [call for tree in TREES.values() for call in calls(tree, "_pair_products")]
     assert [[ast.unparse(arg) for arg in call.args] for call in pairs] == [["vecs", "src", "dst"]]
+
+
+def test_scenarios_are_read_off_one_table():
+    """No comparison in src/idjc names a scenario, and one table keys on scenario names.
+
+    What differs between scenarios (runner, keys read, coupling) is a field of
+    that table, which run_scenario dispatches through and _read_and_check reads.
+    """
+    names = set(SCENARIO_NAMES)
+    compares = [(stem, node.lineno) for stem, tree in TREES.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Compare) and any(isinstance(sub, ast.Constant)
+                                                         and sub.value in names
+                                                         for sub in ast.walk(node))]
+    assert compares == []
+    keyed = [node for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Dict)
+             and any(getattr(key, "value", None) in names for key in node.keys)]
+    assert len(keyed) == 1, [node.lineno for node in keyed]
+    (table,) = [node.targets[0].id for node in TREES["scenarios"].body
+                if isinstance(node, ast.Assign) and node.value is keyed[0]]
+    for reader in ("run_scenario", "_read_and_check"):
+        assert mentions(function(TREES["scenarios"], reader), table), reader
 
 
 def test_type_rules_live_only_in_config_from_mapping():
