@@ -20,13 +20,18 @@ from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError, IdjcError
-from .scenarios import (GRID_FIELDS, SCENARIO_NAMES, ScenarioConfig, config_from_mapping,
-                        run_scenario)
+from .scenarios import (_SCENARIOS, GRID_FIELDS, SCENARIO_NAMES, ScenarioConfig,
+                        config_from_mapping, run_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+
+
+def _read_by(key: str) -> str:
+    """The end of a scenario key's help: the scenarios whose table entry reads it."""
+    return "; read by " + ", ".join(name for name, spec in _SCENARIOS.items() if key in spec.reads)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,17 +46,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", help=f"one of {', '.join(SCENARIO_NAMES)}")
     run.add_argument("--alpha", help="coherent amplitude (real, positive)")
     run.add_argument("--parity-r", dest="parity_r",
-                     help="superposition parity for the cat scenarios: -1, 0 or 1")
+                     help="superposition parity: -1, 0 or 1" + _read_by("parity_r"))
     run.add_argument("--lambda", dest="lam",
-                     help="coupling constant; sets the physical time scale only")
-    run.add_argument("--tau-max", dest="tau_max", help="end of the dimensionless time sweep")
-    run.add_argument("--tau-steps", dest="tau_steps",
-                     help="number of tau samples from 0 to tau-max inclusive")
+                     help="coupling constant; sets the physical time scale only" + _read_by("lam"))
+    run.add_argument("--tau-max", dest="tau_max", help="end of the tau sweep" + _read_by("tau_max"))
+    run.add_argument("--tau-steps", dest="tau_steps", help="number of tau samples from 0 to "
+                     "tau-max inclusive" + _read_by("tau_steps"))
     run.add_argument("--tau-values", dest="tau_values", type=lambda text: text.split(","),
-                     help="comma-separated taus for the qfunc-mixture grids")
+                     help="comma-separated taus of the Q grids" + _read_by("tau_values"))
     run.add_argument("--dim", help='Fock truncation: "auto" or an integer')
     for name in GRID_FIELDS:
-        run.add_argument(f"--{name.replace('_', '-')}", help=f"Q grid {name}; qfunc-mixture only")
+        run.add_argument(f"--{name.replace('_', '-')}", help=f"Q grid {name}" + _read_by(name))
     run.add_argument("--out", dest="output_path", help="output file path")
     run.add_argument("--format", dest="output_format", help="csv or json")
     run.add_argument("--self-check", action="store_true",

@@ -98,7 +98,8 @@ def purity_mixture_closed(alpha: float, tau: float, n_terms: int | None = None) 
         n_terms = default_dim(alpha)
     weights = poisson_weights(alpha, n_terms)
     _check_series("Poisson", weights, alpha)
-    amp = np.sqrt(weights)
+    # exp's rounding leaves about eps alpha^2 in sum(w) - 1, which would move zeta by twice it
+    amp = np.sqrt(weights / np.sum(weights))
     alt = (-1.0) ** np.arange(n_terms)
     phase = tau * np.arange(1.0, n_terms + 1.0)
     stay = amp * np.cos(phase)

@@ -70,8 +70,9 @@ class ScenarioConfig:
     output_format: str = "csv"
 
 
-_FIELD_NAMES = tuple(f.name for f in fields(ScenarioConfig))
-_UNSET_FIELDS = ("tau_values", *GRID_FIELDS)  # the keys without a default
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
+#: The keys that only some scenarios read, each listed in the reads of those that do.
+_SCENARIO_KEYS = ("parity_r", "lam", "tau_max", "tau_steps", "tau_values", *GRID_FIELDS)
 
 _INT_FIELDS = ("parity_r", "tau_steps", "nx", "ny")
 _FLOAT_FIELDS = ("alpha", "lam", "tau_max", "x_min", "x_max", "y_min", "y_max")
@@ -87,7 +88,7 @@ def config_from_mapping(raw) -> ScenarioConfig:
     would read as taus), and scenario, output_path and output_format must
     be strings (a list would read as its printed form).
     """
-    errors = [f"unknown config key: {k}" for k in sorted(set(raw) - set(_FIELD_NAMES))]
+    errors = [f"unknown config key: {k}" for k in sorted(raw.keys() - _DEFAULTS.keys())]
     if errors:
         raise ConfigError(errors)
     kwargs = {}
@@ -133,9 +134,9 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     tau_max * sqrt(dim); every intensity-dependent tau is reduced mod 2 pi
     before it forms a phase, so no other tau overflows one.  Every count must
     fit its array: tau_steps, nx and ny at most _MAX_LENGTH, and the level
-    count of alpha or of an explicit dim at most _MAX_LEVELS.  A key without a
-    default is refused unless the scenario reads it (only qfunc-mixture does),
-    so taus asked for by value never give way silently to the tau_max grid.
+    count of alpha or of an explicit dim at most _MAX_LEVELS.  A scenario key
+    that the scenario does not read must keep its default, so that no value
+    given, such as a parity for the mixture or taus by value, is dropped unread.
     """
     return _read_and_check(config)[1]
 
@@ -180,8 +181,8 @@ def _read_and_check(config: ScenarioConfig) -> tuple[ScenarioConfig, list[str]]:
                 if (getattr(config, name) or 0) > _MAX_LENGTH]
     grid = [getattr(config, name) for name in GRID_FIELDS]
     spec = _SCENARIOS.get(config.scenario)  # None for a missing or unknown scenario
-    unread = [f"{name}: {config.scenario} does not read it" for name in _UNSET_FIELDS
-              if spec and name not in spec.reads and getattr(config, name) is not None]
+    unread = [f"{name}: {config.scenario} does not read it" for name in _SCENARIO_KEYS
+              if spec and name not in spec.reads and getattr(config, name) != _DEFAULTS[name]]
     grid_errors = []  # the grid error comes last
     if spec and "nx" in spec.reads and None in grid:
         missing = ", ".join(name for name, value in zip(GRID_FIELDS, grid) if value is None)
@@ -369,16 +370,18 @@ def _run_ordinary_contrast(config, dim):
 @dataclass(frozen=True)
 class _Scenario:
     run: object  # (config, dim) -> the header, key columns, tables and check pairs
-    reads: tuple = ()  # the keys without a default that it reads; those of the grid it needs
+    reads: tuple  # the _SCENARIO_KEYS it reads; those of the grid it needs
     ordinary: bool = False  # forms ordinary pair phases from an unreduced tau
 
 
+_SWEEP = ("tau_max", "tau_steps")
+_CAT = ("parity_r", "lam", *_SWEEP)
 _SCENARIOS = {
-    "purity-mixture": _Scenario(_run_purity_mixture),
-    "inversion-cat": _Scenario(_run_inversion_cat),
-    "qfunc-mixture": _Scenario(_run_qfunc_mixture, reads=("tau_values", *GRID_FIELDS)),
-    "cat-transition": _Scenario(_run_cat_transition),
-    "ordinary-contrast": _Scenario(_run_ordinary_contrast, ordinary=True),
+    "purity-mixture": _Scenario(_run_purity_mixture, _SWEEP),
+    "inversion-cat": _Scenario(_run_inversion_cat, _CAT),
+    "qfunc-mixture": _Scenario(_run_qfunc_mixture, ("tau_values", *GRID_FIELDS)),
+    "cat-transition": _Scenario(_run_cat_transition, _CAT),
+    "ordinary-contrast": _Scenario(_run_ordinary_contrast, _SWEEP, ordinary=True),
 }
 
 SCENARIO_NAMES = tuple(_SCENARIOS)

@@ -2,9 +2,20 @@ import numpy as np
 import pytest
 
 import idjc
+from idjc import scenarios
 
 ALPHA = 5.0
 DIM = idjc.default_dim(ALPHA)
+
+#: A small valid value of every scenario key, none of them its default.
+SMALL_KEYS = {"parity_r": -1, "lam": 2.0, "tau_max": 1.0, "tau_steps": 5, "tau_values": [0.5],
+              "x_min": -4.0, "x_max": 4.0, "y_min": -4.0, "y_max": 4.0, "nx": 5, "ny": 5}
+
+
+def small_config(scenario: str) -> dict:
+    """A small valid flat config of scenario that sets every key the scenario table says it reads."""
+    return {"scenario": scenario, "alpha": 2.0, "output_path": "out.csv",
+            **{key: SMALL_KEYS[key] for key in scenarios._SCENARIOS[scenario].reads}}
 
 
 def mixture_density(alpha: float, dim: int) -> idjc.DensityMatrix:

@@ -1,5 +1,6 @@
 """CLI flag handling, config files and exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,12 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import idjc.cli
-from idjc.cli import main
-from idjc.scenarios import GRID_FIELDS, SCENARIO_NAMES
+from idjc import scenarios
+from idjc.cli import build_parser, main
+from idjc.scenarios import SCENARIO_NAMES, ScenarioConfig
+
+from conftest import small_config
 
 
 def run_cli(*args):
@@ -221,8 +225,8 @@ class TestNonFiniteInput:
     ])
     def test_overflowing_pair_phase(self, tmp_path, scenario, flag, value):
         """tau * dim overflows, but both routes reduce an intensity-dependent tau mod 2 pi first."""
-        args = dict(QFUNC_ARGS if scenario == "qfunc-mixture" else {},
-                    **{"--alpha": "1", "--tau-steps": "3", flag: value})
+        args = dict(QFUNC_ARGS if scenario == "qfunc-mixture" else {"--tau-steps": "3"},
+                    **{"--alpha": "1", flag: value})
         assert run_cli("run", "--scenario", scenario, "--out", str(tmp_path / "o.csv"),
                        *(f"{key}={val}" for key, val in args.items()), "--self-check") == 0
         written = list(tmp_path.iterdir())
@@ -295,8 +299,8 @@ class TestCountsBeyondIndexing:
     @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
     def test_alpha_level_count(self, tmp_path, capsys, scenario, dim):
         """alpha = 1e150 once reached scipy's Poisson tail with a count beyond int64."""
-        args = dict(QFUNC_ARGS if scenario == "qfunc-mixture" else {},
-                    **{"--alpha": "1e150", "--tau-steps": "3"})
+        args = dict(QFUNC_ARGS if scenario == "qfunc-mixture" else {"--tau-steps": "3"},
+                    **{"--alpha": "1e150"})
         assert run_cli("run", "--scenario", scenario, "--out", str(tmp_path / "o.csv"),
                        *(f"{key}={val}" for key, val in args.items()), *dim) == 2
         levels = idjc.default_dim(1e150)
@@ -358,6 +362,8 @@ class TestMisreadConfigValues:
 
 QFUNC_CONFIG = {"scenario": "qfunc-mixture", "alpha": 2.0, "x_min": -4.0, "x_max": 4.0,
                 "y_min": -4.0, "y_max": 4.0, "nx": 5, "ny": 5, "tau_values": [0.0, 0.5]}
+CAT_ARGS = {"--alpha": "2", "--tau-steps": "5"}
+CAT_CONFIG = {"scenario": "inversion-cat", "alpha": 2.0, "tau_steps": 5}
 
 
 @pytest.mark.parametrize("values,field", [
@@ -396,16 +402,29 @@ def test_config_file_error(tmp_path, capsys, values, field):
 def test_flag_reads_like_config_key(tmp_path, capsys, flag, key, value, field):
     """A bad flag value exits 2, writes nothing and gives the config key's message."""
     out = str(tmp_path / "q.csv")
-    flags = dict(QFUNC_ARGS, **{"--scenario": "qfunc-mixture", "--out": out, flag: value})
+    # each on a run that reads its key: the cat scenarios read parity_r, qfunc-mixture the grid
+    scenario, args, config = (("inversion-cat", CAT_ARGS, CAT_CONFIG) if key == "parity_r"
+                              else ("qfunc-mixture", QFUNC_ARGS, QFUNC_CONFIG))
+    flags = dict(args, **{"--scenario": scenario, "--out": out, flag: value})
     assert run_cli("run", *(f"{k}={v}" for k, v in flags.items())) == 2
     from_flag = capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**QFUNC_CONFIG, "output_path": out, key: value}))
+    cfg.write_text(json.dumps({**config, "output_path": out, key: value}))
     assert run_cli("run", "--config", str(cfg)) == 2
     assert capsys.readouterr().err == from_flag
     assert from_flag.startswith(f"error: {field}: ")
     assert from_flag.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_help_names_the_scenarios_that_read_each_key():
+    """Each scenario key's flag help names exactly the scenarios whose table entry reads it."""
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    helps = {action.dest: action.help for action in subparsers.choices["run"]._actions}
+    for key in scenarios._SCENARIO_KEYS:
+        readers = {name for name, spec in scenarios._SCENARIOS.items() if key in spec.reads}
+        assert {name for name in SCENARIO_NAMES if name in helps[key]} == readers, key
 
 
 class TestConsoleEntryPoint:
@@ -458,10 +477,10 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 # Strategies for the input-gate fuzz.  Every key starts from a small value of
-# its type, the tau fields from huge finite floats too; only qfunc-mixture keeps
-# tau_values and the grid, and another scenario keeps one of them on some draws.
-# Then up to two keys are left out and up to two get a wrong JSON type or a
-# non-finite float.
+# its type, the tau fields from huge finite floats too; a scenario keeps the
+# scenario keys that the table says it reads, and on some draws one more, not
+# at its default.  Then up to two keys are left out and up to two get a wrong
+# JSON type or a non-finite float.
 _NOT_STRINGS = (st.booleans() | st.lists(st.integers(0, 3), max_size=2)
                 | st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1)
                 | st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -470,28 +489,31 @@ _TAUS = st.floats(0.0, 10.0, exclude_min=True) | st.floats(1e300, sys.float_info
 
 @st.composite
 def _fuzz_configs(draw):
+    scenario = draw(st.sampled_from(SCENARIO_NAMES))
     x_min, x_max, y_min, y_max = (draw(st.floats(-16.0, 16.0)) for _ in range(4))
-    raw = {
-        "scenario": draw(st.sampled_from(SCENARIO_NAMES)),
-        "alpha": draw(st.floats(0.0, 4.0, exclude_min=True)),
+    keys = {
         "parity_r": draw(st.integers(-1, 1)),
         "lam": draw(st.floats(0.0, 4.0, exclude_min=True)),
         "tau_max": draw(_TAUS),
         "tau_steps": draw(st.integers(2, 16)),
-        "dim": draw(st.just("auto") | st.integers(2, 64)),
         "tau_values": draw(st.lists(_TAUS, min_size=1, max_size=4)),
         "x_min": min(x_min, x_max), "x_max": max(x_min, x_max),
         "y_min": min(y_min, y_max), "y_max": max(y_min, y_max),
         "nx": draw(st.integers(2, 8)),
         "ny": draw(st.integers(2, 8)),
+    }
+    reads = scenarios._SCENARIOS[scenario].reads
+    kept = draw(st.none() | st.sampled_from(
+        [key for key, value in keys.items()
+         if key not in reads and value != getattr(ScenarioConfig(), key)]))
+    raw = {
+        "scenario": scenario,
+        "alpha": draw(st.floats(0.0, 4.0, exclude_min=True)),
+        "dim": draw(st.just("auto") | st.integers(2, 64)),
+        **{key: value for key, value in keys.items() if key in reads or key == kept},
         "output_path": "out.csv",  # put in the temp dir by the test
         "output_format": draw(st.sampled_from(("csv", "json"))),
     }
-    q_keys = ["tau_values", *GRID_FIELDS]
-    kept = draw(st.none() | st.sampled_from(q_keys))
-    if raw["scenario"] != "qfunc-mixture":  # it alone reads tau_values and the grid
-        for key in set(q_keys) - {kept}:
-            del raw[key]
     for key in draw(st.lists(st.sampled_from(sorted(raw.keys() - {"output_path"})),
                              max_size=2, unique=True)):
         del raw[key]  # not output_path: its default would write outside the temp dir
@@ -508,21 +530,32 @@ def _written_numbers(path: Path) -> list[float]:
     return [float(v) for line in text.splitlines()[1:] for v in line.split(",")]
 
 
+#: One small valid config per scenario, each key it reads set: each must exit 0.
+VALID_RUNS = [small_config(name) for name in SCENARIO_NAMES]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(raw=_fuzz_configs(), self_check=st.booleans())
 def test_input_gate_fuzz(raw, self_check):
     """Any flat config exits 0, 2, 3 or 4 without a traceback and writes only finite numbers."""
+    valid = raw in VALID_RUNS
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         if isinstance(raw["output_path"], str):
-            raw["output_path"] = str(Path(tmp) / raw["output_path"])
+            raw = dict(raw, output_path=str(Path(tmp) / raw["output_path"]))
         cfg.write_text(json.dumps(raw))
         code = run_cli("run", "--config", str(cfg), *(["--self-check"] if self_check else []))
         assert code in (0, 2, 3, 4)
+        assert code == 0 or not valid
         written = sorted(set(Path(tmp).iterdir()) - {cfg})
         assert bool(written) == (code == 0)
         for path in written:
             assert all(math.isfinite(v) for v in _written_numbers(path)), path.name
+
+
+for _raw in VALID_RUNS:  # every scenario's exit-0 path, whatever the strategy draws
+    for _self_check in (False, True):
+        test_input_gate_fuzz = example(raw=_raw, self_check=_self_check)(test_input_gate_fuzz)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -11,14 +11,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import idjc
 from idjc import cli, scenarios
-from idjc.scenarios import GRID_FIELDS, SCENARIO_NAMES, ScenarioConfig, validate_config
+from idjc.scenarios import SCENARIO_NAMES, ScenarioConfig, validate_config
 
-from conftest import params, random_density
+from conftest import SMALL_KEYS, params, random_density, small_config
 
 AMPLITUDES = st.complex_numbers(max_magnitude=6.0, allow_nan=False, allow_infinity=False)
 
@@ -163,24 +163,16 @@ GATE_POOL = [math.nan, math.inf, -math.inf, 1e308, 0, 10 ** 400,
              np.int64(600), np.int64(-1), np.float64(2.5), np.float64(math.nan)]
 
 
-#: Small valid values of the keys that only qfunc-mixture reads.
-Q_KEYS = {"tau_values": [0.5], "x_min": -4.0, "x_max": 4.0, "y_min": -4.0, "y_max": 4.0,
-          "nx": 5, "ny": 5}
-
-
 @st.composite
 def _gate_configs(draw):
     """A small valid config of any scenario with up to three fields drawn from GATE_POOL.
 
-    qfunc-mixture gets the grid; another scenario gets, on some draws, one key it does not read.
+    Each scenario gets the keys it reads and, on some draws, one key it does not read.
     """
-    scenario = draw(st.sampled_from(SCENARIO_NAMES))
-    unread = draw(st.none() | st.sampled_from(sorted(Q_KEYS)))
-    values = {"scenario": scenario, "alpha": 2.0, "tau_steps": 5, "output_path": "out.csv"}
-    if scenario == "qfunc-mixture":
-        values.update({key: Q_KEYS[key] for key in GRID_FIELDS})
-    elif unread:
-        values[unread] = Q_KEYS[unread]
+    values = small_config(draw(st.sampled_from(SCENARIO_NAMES)))
+    unread = SMALL_KEYS.keys() - set(scenarios._SCENARIOS[values["scenario"]].reads)
+    if key := draw(st.none() | st.sampled_from(sorted(unread))):
+        values[key] = SMALL_KEYS[key]
     names = [f.name for f in fields(ScenarioConfig)]
     for name in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
         values[name] = draw(st.sampled_from(GATE_POOL))
@@ -197,6 +189,10 @@ def _as_config_file(config):
     return text if repr(json.loads(text)) == repr(asdict(config)) else None
 
 
+#: One small valid config per scenario, each key it reads set: each must validate.
+VALID_CONFIGS = [ScenarioConfig(**small_config(name)) for name in SCENARIO_NAMES]
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(config=_gate_configs())
 def test_library_gate_fuzz(config):
@@ -207,6 +203,7 @@ def test_library_gate_fuzz(config):
     """
     errors = validate_config(config)
     assert isinstance(errors, list) and all(isinstance(e, str) for e in errors)
+    assert errors == [] or config not in VALID_CONFIGS
     text = _as_config_file(config)
     if text is None:
         return
@@ -220,3 +217,7 @@ def test_library_gate_fuzz(config):
         assert list(Path(tmp).iterdir()) == [path]
     assert code == (2 if errors else 0)
     assert err.getvalue().splitlines() == [f"error: {message}" for message in errors]
+
+
+for _config in VALID_CONFIGS:  # every scenario's valid path, whatever the strategy draws
+    test_library_gate_fuzz = example(config=_config)(test_library_gate_fuzz)

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import idjc
-from idjc import closed_form, dynamics, husimi
+from idjc import closed_form, dynamics, husimi, scenarios
 from idjc.cli import main
 from idjc.errors import ConfigError, SelfCheckFailed
 from idjc.scenarios import (
     CSV_BLOCK_ROWS,
+    SCENARIO_NAMES,
     ScenarioConfig,
     _write_csv,
     config_from_mapping,
@@ -21,6 +22,8 @@ from idjc.scenarios import (
     run_scenario,
     validate_config,
 )
+
+from conftest import small_config
 
 
 def read_csv(path):
@@ -297,8 +300,10 @@ QFUNC_KEYS = {"x_min": -5.0, "x_max": 5.0, "y_min": -5.0, "y_max": 5.0, "nx": 9,
               "tau_values": (0.0, 0.9)}
 
 
-def q_keys(scenario):
-    return QFUNC_KEYS if scenario == "qfunc-mixture" else {}
+def small_keys(scenario):
+    """Small values of the scenario keys that scenario reads: 21 taus, or the grid and two taus."""
+    return {key: value for key, value in {"tau_steps": 21, **QFUNC_KEYS}.items()
+            if key in scenarios._SCENARIOS[scenario].reads}
 
 
 def as_flags(values):
@@ -317,7 +322,7 @@ def test_scenarios_avoid_the_dense_path(tmp_path, monkeypatch, scenario):
 
     monkeypatch.setattr(dynamics, "evolve_field", dense)
     monkeypatch.setattr(husimi, "q_grid", dense)
-    cfg = base_config(tmp_path, scenario, alpha=3.0, tau_steps=21, **q_keys(scenario))
+    cfg = base_config(tmp_path, scenario, alpha=3.0, **small_keys(scenario))
     assert run_scenario(cfg, self_check=True)
 
 
@@ -341,7 +346,7 @@ def test_failed_self_check_writes_nothing(tmp_path, monkeypatch, scenario, modul
                                           fault, message):
     """A closed form off by 1e-8 or a Q above 1/pi stops the run before any file is written."""
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
-    flags = {"alpha": 3.0, "tau_steps": 21, **q_keys(scenario)}
+    flags = {"alpha": 3.0, **small_keys(scenario)}
     cfg = base_config(tmp_path, scenario, **flags)
     with pytest.raises(SelfCheckFailed) as failure:
         run_scenario(cfg, self_check=True)
@@ -365,7 +370,7 @@ def test_q_out_of_bounds_fails_without_self_check(tmp_path, monkeypatch):
 @pytest.mark.parametrize("scenario", ["cat-transition", "ordinary-contrast", "qfunc-mixture"])
 def test_unwritten_oracle_columns_are_computed_only_under_self_check(tmp_path, monkeypatch,
                                                                     scenario):
-    flags = {"alpha": 3.0, "tau_steps": 21, **q_keys(scenario)}
+    flags = {"alpha": 3.0, **small_keys(scenario)}
     expected = run_scenario(base_config(tmp_path, scenario, output_path=str(tmp_path / "a.csv"),
                                         **flags))
 
@@ -407,10 +412,9 @@ class TestLibraryConfigReadLikeAFile:
     """A ScenarioConfig built in code obeys the type rules of config files and flags."""
 
     HUGE = 10 ** 400  # an integer that no float holds
-    GRID = {"alpha": 2.0, "tau_steps": 5, "x_min": -4.0, "x_max": 4.0, "y_min": -4.0,
-            "y_max": 4.0, "nx": 5, "ny": 5, "tau_values": (0.5,)}
-    FLAGS = ["--alpha", "2", "--tau-steps", "5", "--x-min=-4", "--x-max", "4", "--y-min=-4",
-             "--y-max", "4", "--nx", "5", "--ny", "5", "--tau-values", "0.5"]
+    GRID = {"alpha": 2.0, "x_min": -4.0, "x_max": 4.0, "y_min": -4.0, "y_max": 4.0, "nx": 5,
+            "ny": 5, "tau_values": (0.5,)}
+    SWEEP = {"alpha": 2.0, "tau_steps": 5}
 
     @pytest.mark.parametrize("field,value,prefix", [
         ("alpha", HUGE, "alpha: cannot interpret "),
@@ -452,12 +456,10 @@ class TestLibraryConfigReadLikeAFile:
         ("qfunc-mixture", "nx", 5.0),
     ], ids=["tau_steps-int64", "tau_steps-float", "tau_steps-str", "nx-str", "nx-float"])
     def test_number_reads_like_its_flag(self, tmp_path, capsys, scenario, field, value):
-        reads_grid = scenario == "qfunc-mixture"
-        flags = self.FLAGS if reads_grid else self.FLAGS[:4]  # --alpha 2 --tau-steps 5
+        values = self.GRID if scenario == "qfunc-mixture" else self.SWEEP
         flagged = tmp_path / "flag.csv"
-        assert main(["run", "--scenario", scenario, "--out", str(flagged), *flags]) == 0
-        cfg = base_config(tmp_path, scenario, output_path=str(tmp_path / "lib.csv"),
-                          **(self.GRID if reads_grid else {"alpha": 2.0, "tau_steps": 5}))
+        assert main(["run", "--scenario", scenario, "--out", str(flagged), *as_flags(values)]) == 0
+        cfg = base_config(tmp_path, scenario, output_path=str(tmp_path / "lib.csv"), **values)
         setattr(cfg, field, value)
         assert validate_config(cfg) == []
         (path,) = run_scenario(cfg)
@@ -526,6 +528,58 @@ class TestUnreadKeys:
     def test_qfunc_reads_every_one(self, tmp_path):
         paths = run_scenario(base_config(tmp_path, "qfunc-mixture", alpha=2.0, **QFUNC_KEYS))
         assert [path.name for path in paths] == ["out_t0.csv", "out_t1.csv"]
+
+    @pytest.mark.parametrize("scenario,key,value", [
+        ("purity-mixture", "parity_r", -1), ("purity-mixture", "lam", 3.0),
+        ("ordinary-contrast", "parity_r", 0), ("ordinary-contrast", "lam", 0.5),
+        ("qfunc-mixture", "parity_r", -1), ("qfunc-mixture", "lam", 3.0),
+        ("qfunc-mixture", "tau_max", 9.0), ("qfunc-mixture", "tau_steps", 7),
+    ])
+    def test_key_with_a_default(self, tmp_path, capsys, scenario, key, value):
+        """Once ignored, so the run wrote what its default writes; the default itself still runs."""
+        message = f"{key}: {scenario} does not read it"
+        keys = {"scenario": scenario, **small_keys(scenario), key: value}
+        out = str(tmp_path / "o.csv")
+        assert main(["run", "--out", out, *as_flags(keys)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        config_file = tmp_path / "cfg.json"
+        config_file.write_text(json.dumps({**keys, "output_path": out}))
+        assert main(["run", "--config", str(config_file)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert validate_config(ScenarioConfig(**keys, output_path=out)) == [message]
+        with pytest.raises(ConfigError) as err:
+            run_scenario(ScenarioConfig(**keys, output_path=out))
+        assert err.value.field_errors == [message]
+        assert list(tmp_path.iterdir()) == [config_file]
+        default = {**keys, key: getattr(ScenarioConfig(), key)}
+        assert validate_config(ScenarioConfig(**default)) == []
+        assert main(["run", "--out", out, *as_flags(default)]) == 0
+
+
+#: A value of every scenario key that is neither its default nor its value in small_config.
+OTHER_KEYS = {"parity_r": 0, "lam": 3.0, "tau_max": 2.0, "tau_steps": 7, "tau_values": (0.3, 0.9),
+              "x_min": -3.0, "x_max": 3.0, "y_min": -3.0, "y_max": 3.0, "nx": 4, "ny": 6}
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_scenario_table_matches_its_runners(scenario):
+    """Past the gate, every key a scenario reads changes what its runner returns, and no other does.
+
+    The runner's header, key columns, tables and metadata are compared; lam
+    reaches the cat scenarios' revival_time metadata only.
+    """
+    assert sorted(OTHER_KEYS) == sorted(scenarios._SCENARIO_KEYS)
+    spec = scenarios._SCENARIOS[scenario]
+    base = config_from_mapping(small_config(scenario))
+    dim = resolve_dim(base)
+
+    def returned(**change):
+        header, keys, tables, _ = spec.run(dataclasses.replace(base, **change), dim)
+        return json.dumps([header, keys, tables], default=lambda col: np.asarray(col).tolist())
+
+    unchanged = returned()
+    changed = {key for key, value in OTHER_KEYS.items() if returned(**{key: value}) != unchanged}
+    assert changed == set(spec.reads)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0, 10.0])

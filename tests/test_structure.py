@@ -68,6 +68,7 @@ def private_names_taken(tree: ast.AST) -> set[str]:
 
 #: Every private name one module of src/idjc takes from another, by taking module.
 PRIVATE_NAMES_TAKEN = {
+    "cli": {"scenarios._SCENARIOS"},
     "dynamics": {"fock.DensityMatrix._owned"},
     "husimi": {"dynamics._branch_block", "dynamics._branch_fidelities",
                "dynamics._branch_weights", "dynamics._checked_ensemble", "dynamics._tau_blocks",
