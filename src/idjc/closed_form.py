@@ -99,7 +99,7 @@ def purity_mixture_closed(alpha: float, tau: float, n_terms: int | None = None) 
     weights = poisson_weights(alpha, n_terms)
     _check_series("Poisson", weights, alpha)
     # exp's rounding leaves about eps alpha^2 in sum(w) - 1, which would move zeta by twice it
-    amp = np.sqrt(weights / np.sum(weights))
+    amp = np.sqrt(weights / weights.sum())
     alt = (-1.0) ** np.arange(n_terms)
     phase = tau * np.arange(1.0, n_terms + 1.0)
     stay = amp * np.cos(phase)
@@ -108,7 +108,7 @@ def purity_mixture_closed(alpha: float, tau: float, n_terms: int | None = None) 
 
     stay_p, stay_m = float(stay @ stay), float(stay @ (alt * stay))
     flip_p, flip_m = float(flip @ flip), float(flip @ (alt[:-1] * flip))
-    cross_p, cross_m = float(np.sum(cross)), float(cross @ alt[:-1])
+    cross_p, cross_m = float(cross.sum()), float(cross @ alt[:-1])
 
     trace_sq = 0.5 * (stay_p**2 + stay_m**2 + flip_p**2 + flip_m**2)
     trace_sq += cross_p**2 + cross_m**2
