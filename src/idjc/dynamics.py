@@ -46,7 +46,7 @@ A fidelity with amplitude rows r, F_r = sum_k w_k (|<r|a_k>|^2 + |<r|b_k>|^2),
 comes from _branch_fidelities alone, against the branches that _branch_block
 builds per tau block; so do the Q of :func:`idjc.husimi.q_sweep` (coherent
 rows) and its guard's top-two population (rows |dim-2> and |dim-1>).  Both
-sweeps walk their tau blocks through _tau_blocks: this module owns the walk.
+sweeps check their inputs and walk their tau blocks through _checked_sweep.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ ATOM_GROUND = "ground"
 #: anything sitting there would leak out of the truncated basis.
 DEFAULT_TAIL_LEAK_TOL = 1e-10
 
-#: Taus per block of _tau_blocks, the one walk of sweep_branches and husimi.q_sweep:
+#: Taus per block of _checked_sweep, the one walk of sweep_branches and husimi.q_sweep:
 #: their temporaries stay (block x dim) or (block x 2m x dim), whatever the tau count.
 SWEEP_TAU_BLOCK = 64
 
@@ -288,11 +288,13 @@ def _abs2(trig: np.ndarray, split: np.ndarray) -> np.ndarray:
     return out[:, :half] ** 2 + out[:, half:] ** 2
 
 
-def _checked_ensemble(components, taus, coupling: str = INTENSITY_DEPENDENT):
-    """Weights, amplitude rows and 1-d taus of an excited-atom pure-state ensemble.
+def _checked_sweep(components, taus, coupling: str = INTENSITY_DEPENDENT):
+    """Weights, amplitude rows, 1-d taus and tau blocks of an excited-atom pure-state ensemble.
 
-    Inputs are checked once by the rules of EvolutionParams, on the smallest
-    and largest tau, and of evolve_field, on the top-two-level population.
+    Inputs are checked on the call by the rules of EvolutionParams, on the
+    smallest and largest tau, and of evolve_field, on the top-two-level
+    population.  The lazy blocks of SWEEP_TAU_BLOCK taus cover the taus in
+    order, each as (slice, cos, sin, src, dst) with the block's _branch_weights.
     """
     components = list(components)
     weights = mixture_weights(components)
@@ -304,12 +306,8 @@ def _checked_ensemble(components, taus, coupling: str = INTENSITY_DEPENDENT):
     for tau in (taus.min(), taus.max()) if taus.size else (0.0,):
         EvolutionParams(tau=float(tau), dim=dim, coupling=coupling)
     _check_tail(float(weights @ np.sum(np.abs(vecs[:, -2:]) ** 2, axis=1)))
-    return weights, vecs, taus
-
-
-def _tau_blocks(n_taus: int):
-    """Slices of SWEEP_TAU_BLOCK consecutive taus, the last maybe shorter, covering n_taus."""
-    return (slice(s, s + SWEEP_TAU_BLOCK) for s in range(0, n_taus, SWEEP_TAU_BLOCK))
+    blocks = (slice(s, s + SWEEP_TAU_BLOCK) for s in range(0, taus.size, SWEEP_TAU_BLOCK))
+    return weights, vecs, taus, ((b, *_branch_weights(taus[b], dim, coupling)) for b in blocks)
 
 
 def _branch_block(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray,
@@ -354,11 +352,13 @@ def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
         F_psi    = sum_k w_k (|<psi|a_k>|^2 + |<psi|b_k>|^2)
         P_e      = sum_k w_k ||a_k||^2
     """
-    weights, vecs, taus = _checked_ensemble(components, taus, coupling)
+    weights, vecs, taus, blocks = _checked_sweep(components, taus, coupling)
     dim = vecs.shape[1]
     goals = np.array(targets, dtype=complex)
     if goals.size and goals.shape[1:] != (dim,):
-        raise DimMismatch(f"target rows of shape {goals.shape[1:]} != ensemble dim {dim}")
+        raise DimMismatch(f"targets of shape {goals.shape} are not rows of ensemble dim {dim}"
+                          if goals.ndim == 1 else
+                          f"target rows of shape {goals.shape[1:]} != ensemble dim {dim}")
     goals = goals.reshape(-1, dim)
     for row in goals:
         StateVector(row)
@@ -371,8 +371,7 @@ def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
     purity = np.empty(taus.size)
     excited = np.empty(taus.size)
     fids = np.empty((taus.size, len(goals)))
-    for block in _tau_blocks(taus.size):
-        cos, sin, _, _ = _branch_weights(taus[block], dim, coupling)
+    for block, cos, sin, _, _ in blocks:
         cos2, flip = cos * cos, sin[:, src]
         overlaps = (_abs2(cos2, same) + _abs2(flip * flip, same[src])
                     + 2.0 * _abs2(cos[:, dst] * flip, up))

@@ -34,7 +34,7 @@ class SelfCheckFailed(IdjcError):
 
 
 class ConfigError(IdjcError):
-    """Invalid scenario configuration; carries one message per offending field."""
+    """Bad scenario config: one line per broken rule, range lines before unread-key lines."""
 
     def __init__(self, field_errors):
         self.field_errors = list(field_errors)

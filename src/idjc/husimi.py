@@ -8,8 +8,8 @@ photon numbers in the hundreds stays well inside double range.
 q_grid takes any density matrix.  q_sweep takes an evolving pure-state
 ensemble and a tau grid: Q at beta is the fidelity of the evolved
 ensemble with the coherent state |beta>, over pi.  :mod:`idjc.dynamics`
-owns that sum (_branch_fidelities, one matrix product per grid row against
-the branches built once per tau block), the block walk and the block size.
+owns that sum (_branch_fidelities, one matrix product per grid row and tau
+block), the input check, the block walk and the block size (_checked_sweep).
 This module is the engine side only: the independent Q series of the
 evolved mixture, which takes one point or an array of them, lives with
 every other series oracle in :mod:`idjc.closed_form`.
@@ -25,8 +25,7 @@ import numpy as np
 # Re-exported because perfbench/checks.py and perfbench/tracer.py call and wrap
 # husimi.q_mixture_closed.
 from .closed_form import q_mixture_closed  # noqa: F401
-from .dynamics import (INTENSITY_DEPENDENT, _branch_block, _branch_fidelities, _branch_weights,
-                       _checked_ensemble, _tau_blocks)
+from .dynamics import _branch_block, _branch_fidelities, _checked_sweep
 from .errors import TruncationTooSmall
 from .fock import DensityMatrix, _coherent_amplitudes, photon_distribution, poisson_tail
 
@@ -139,7 +138,7 @@ def q_sweep(components, taus, x_min: float, x_max: float, y_min: float, y_max: f
     components and taus are checked as for :func:`idjc.dynamics.sweep_branches`.
     Equals q_grid of the dense evolved state at each tau, guard included.
 
-    The taus are taken in the blocks of dynamics._tau_blocks.  Each block's
+    The taus are taken in the blocks of dynamics._checked_sweep.  Each block's
     stay and flip branches a_k, b_k are built once, and each grid row's
     coherent amplitudes once per block; dynamics._branch_fidelities then gives
     Q = sum_k w_k (|<beta|a_k>|^2 + |<beta|b_k>|^2) / pi for the whole row and
@@ -148,11 +147,11 @@ def q_sweep(components, taus, x_min: float, x_max: float, y_min: float, y_max: f
     complex numbers for m components, plus ny x dim for the row.
     """
     xs, ys, corner_sq = _grid_axes(x_min, x_max, y_min, y_max, nx, ny)
-    weights, vecs, taus = _checked_ensemble(components, taus)
+    weights, vecs, taus, blocks = _checked_sweep(components, taus)
     dim = vecs.shape[1]
     values = np.empty((taus.size, nx, ny))
-    for block in _tau_blocks(taus.size):
-        branches = _branch_block(vecs, *_branch_weights(taus[block], dim, INTENSITY_DEPENDENT))
+    for block, *trig in blocks:
+        branches = _branch_block(vecs, *trig)
         top = _branch_fidelities(branches, weights, np.eye(2, dim, dim - 2)).sum(axis=0)
         _truncation_guard(float(top.max()), dim, corner_sq, guard_tol)
         for i, x in enumerate(xs):

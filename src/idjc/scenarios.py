@@ -125,7 +125,7 @@ def _finite(value) -> bool:
 
 
 def validate_config(config: ScenarioConfig) -> list[str]:
-    """All invariant violations, one message per field; empty list means OK.
+    """All invariant violations, one line per broken rule, range lines before unread-key lines.
 
     The config is first read as a config file is, by config_from_mapping, whose
     errors are the verdict if it fails.  Every float must be finite: an
@@ -135,8 +135,8 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     before it forms a phase, so no other tau overflows one.  Every count must
     fit its array: tau_steps, nx and ny at most _MAX_LENGTH, and the level
     count of alpha or of an explicit dim at most _MAX_LEVELS.  A scenario key
-    that the scenario does not read must keep its default, so that no value
-    given, such as a parity for the mixture or taus by value, is dropped unread.
+    that the scenario does not read must keep its default, so that no value given,
+    such as a parity for the mixture, is dropped unread.  An empty list means OK.
     """
     return _read_and_check(config)[1]
 
@@ -275,8 +275,10 @@ def _write_json(path: Path, header, columns, metadata) -> None:
 
 
 def _metadata(config: ScenarioConfig, dim: int, extra=None) -> dict:
-    return {"config": asdict(config), "dim": dim,
-            "tail_mass": fock.poisson_tail(config.alpha**2, dim), **(extra or {})}
+    """The config echo leaves out the scenario keys that the scenario does not read."""
+    unread = set(_SCENARIO_KEYS) - set(_SCENARIOS[config.scenario].reads)
+    return {"config": {k: v for k, v in asdict(config).items() if k not in unread},
+            "dim": dim, "tail_mass": fock.poisson_tail(config.alpha**2, dim), **(extra or {})}
 
 
 def _check_pairs(pairs) -> None:

@@ -582,6 +582,20 @@ def test_scenario_table_matches_its_runners(scenario):
     assert changed == set(spec.reads)
 
 
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_json_echoes_only_the_keys_the_scenario_reads(tmp_path, scenario):
+    """metadata.config holds the keys every scenario reads plus this one's reads, values as run."""
+    raw = {**small_config(scenario), "output_path": str(tmp_path / "out.json"),
+           "output_format": "json"}
+    read = dataclasses.asdict(config_from_mapping(raw))
+    common = set(read) - set(scenarios._SCENARIO_KEYS)
+    assert {"scenario", "alpha", "dim", "output_path", "output_format"} <= common
+    want = {key: read[key] for key in common | set(scenarios._SCENARIOS[scenario].reads)}
+    for path in run_scenario(config_from_mapping(raw)):
+        echo = json.loads(path.read_text())["metadata"]["config"]
+        assert echo == json.loads(json.dumps(want))
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0, 10.0])
 def test_purification_is_the_cat_transition(tmp_path, alpha):
     """At tau = pi/2, zeta_mix = (1 - exp(-4 alpha^2)) (1 - F_odd) / 2: the paper's results as one.

@@ -70,8 +70,7 @@ def private_names_taken(tree: ast.AST) -> set[str]:
 PRIVATE_NAMES_TAKEN = {
     "cli": {"scenarios._SCENARIOS"},
     "dynamics": {"fock.DensityMatrix._owned"},
-    "husimi": {"dynamics._branch_block", "dynamics._branch_fidelities",
-               "dynamics._branch_weights", "dynamics._checked_ensemble", "dynamics._tau_blocks",
+    "husimi": {"dynamics._branch_block", "dynamics._branch_fidelities", "dynamics._checked_sweep",
                "fock._coherent_amplitudes"},
     "scenarios": {"husimi._grid_axes"},
 }
@@ -102,8 +101,12 @@ def test_series_tail_tol_is_compared_once():
 
 
 def test_sweep_tau_block_is_referenced_only_in_dynamics():
+    """Outside its definition, one function reads it: the walk, dynamics._checked_sweep."""
     users = {stem for stem, tree in TREES.items() if mentions(tree, "SWEEP_TAU_BLOCK")}
     assert users == {"dynamics"}
+    readers = {node.name for node in ast.walk(TREES["dynamics"])
+               if isinstance(node, ast.FunctionDef) and mentions(node, "SWEEP_TAU_BLOCK")}
+    assert readers == {"_checked_sweep"}
 
 
 def function(tree: ast.AST, name: str) -> ast.FunctionDef:
@@ -116,6 +119,23 @@ def calls(node: ast.AST, name: str) -> list[ast.Call]:
     """Calls of name under node, bare or as an attribute, not calls on what it returns."""
     return [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
             and getattr(sub.func, "id", getattr(sub.func, "attr", None)) == name]
+
+
+def test_one_function_walks_the_tau_blocks():
+    """dynamics._checked_sweep alone takes _branch_weights of a block of taus.
+
+    Every other call passes one tau, a constant or params.tau, and husimi
+    takes its blocks' trigonometry from the walk without calling the helper.
+    """
+    def one_tau(arg: ast.AST) -> bool:
+        return isinstance(arg, ast.Constant) or (isinstance(arg, ast.Attribute)
+                                                 and arg.attr == "tau")
+
+    walkers = {(stem, node.name) for stem, tree in TREES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and any(not one_tau(call.args[0]) for call in calls(node, "_branch_weights"))}
+    assert walkers == {("dynamics", "_checked_sweep")}
+    assert not calls(TREES["husimi"], "_branch_weights")
 
 
 def test_branch_overlaps_have_one_kernel():

@@ -93,12 +93,29 @@ def test_raises_where_dense_path_raises(seed, dim, coupling, fault):
 
 @pytest.mark.parametrize("n_taus", [0, 1, 63, 64, 65, 3 * 64 + 5])
 def test_tau_blocks_cover_each_tau_once(n_taus):
-    """The one block walk: full blocks of SWEEP_TAU_BLOCK, then the rest, in order."""
-    taus = range(n_taus)
-    blocks = [taus[block] for block in idjc.dynamics._tau_blocks(n_taus)]
-    assert [t for block in blocks for t in block] == list(taus)
-    assert all(len(block) == idjc.dynamics.SWEEP_TAU_BLOCK for block in blocks[:-1])
-    assert all(len(block) > 0 for block in blocks)
+    """The one block walk: full blocks of SWEEP_TAU_BLOCK, then the rest, in order.
+
+    Each block carries _branch_weights of its own taus, for the coupling asked.
+    """
+    psi = idjc.make_coherent(1.0)
+    components = [(1.0, psi)]
+    taus = np.linspace(0.0, 7.0, n_taus)  # past 2 pi, where the intensity-dependent taus reduce
+    for coupling in COUPLINGS:
+        *_, got, blocks = idjc.dynamics._checked_sweep(components, taus, coupling)
+        blocks = list(blocks)
+        assert [t for block, *_ in blocks for t in got[block]] == list(taus)
+        assert all(len(got[block]) == idjc.dynamics.SWEEP_TAU_BLOCK for block, *_ in blocks[:-1])
+        assert all(len(got[block]) > 0 for block, *_ in blocks)
+        for block, *trig in blocks:
+            want = idjc.dynamics._branch_weights(taus[block], psi.dim, coupling)
+            assert all(np.array_equal(a, b) for a, b in zip(trig[:2], want[:2]))
+            assert trig[2:] == list(want[2:])
+
+
+def test_one_dimensional_targets_are_named_by_their_shape():
+    psi = idjc.make_coherent(1.0, 29)
+    with pytest.raises(DimMismatch, match=r"targets of shape \(29,\) are not rows"):
+        idjc.sweep_branches([(1.0, psi)], [0.1], targets=psi.amplitudes)
 
 
 def test_grid_spanning_several_tau_blocks():
