@@ -45,8 +45,9 @@ keep the digits that the product tau * (n+1) would round away.
 A fidelity with amplitude rows r, F_r = sum_k w_k (|<r|a_k>|^2 + |<r|b_k>|^2),
 comes from _branch_fidelities alone, against the branches that _branch_block
 builds per tau block; so do the Q of :func:`idjc.husimi.q_sweep` (coherent
-rows) and its guard's top-two population (rows |dim-2> and |dim-1>).  Both
-sweeps check their inputs and walk their tau blocks through _checked_sweep.
+rows) and its guard's top-two population (rows |dim-2> and |dim-1>).  Each
+path checks its inputs in the prologue that gives its weights, _checked_weights
+per call and _checked_sweep for the sweeps, under the rules of EvolutionParams.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class EvolutionParams:
     The dynamics depends on the coupling constant only through tau.  atom
     selects the initial atomic state; the ground-state case is the mirror
     map with the roles of the two branches swapped (pair frequencies n
-    instead of n+1).
+    instead of n+1).  An ordinary tau needs a finite tau * sqrt(dim), the bound on its phases.
     """
 
     tau: float
@@ -102,6 +103,8 @@ class EvolutionParams:
             raise ValueError(f"unknown coupling mode {self.coupling!r}")
         if self.atom not in (ATOM_EXCITED, ATOM_GROUND):
             raise ValueError(f"unknown atom state {self.atom!r}")
+        if self.coupling == ORDINARY and not math.isfinite(self.tau * math.sqrt(self.dim)):
+            raise ValueError(f"the ordinary pair phase tau * sqrt({self.dim}) overflows")
 
 
 def kraus_diag(params: EvolutionParams) -> np.ndarray:
@@ -156,11 +159,13 @@ def _check_tail(top: float) -> None:
         )
 
 
-def _check_inputs(rho0: DensityMatrix, params: EvolutionParams) -> None:
+def _checked_weights(rho0: DensityMatrix, params: EvolutionParams):
+    """_branch_weights of params, once rho0 has their dim and, atom excited, an empty tail."""
     if rho0.dim != params.dim:
         raise DimMismatch(f"rho dim {rho0.dim} != params dim {params.dim}")
     if params.atom == ATOM_EXCITED:
         _check_tail(float(np.real(rho0.elements[-1, -1] + rho0.elements[-2, -2])))
+    return _branch_weights(params.tau, params.dim, params.coupling, params.atom)
 
 
 def _row_blocks(n: int):
@@ -188,8 +193,7 @@ def evolve_field(rho0: DensityMatrix, params: EvolutionParams) -> DensityMatrix:
     which is enforced against DEFAULT_TAIL_LEAK_TOL.  The output is
     Hermitian by construction, so only its trace is re-checked.
     """
-    _check_inputs(rho0, params)
-    cos, sin, src, dst = _branch_weights(params.tau, params.dim, params.coupling, params.atom)
+    cos, sin, src, dst = _checked_weights(rho0, params)
     el = rho0.elements
     out = np.empty_like(el)
     for rows in _row_blocks(params.dim):
@@ -206,8 +210,7 @@ def excited_population(rho0: DensityMatrix, params: EvolutionParams) -> float:
     Only the photon-number populations of rho0 enter (both branches are
     diagonal-to-diagonal in that respect).
     """
-    _check_inputs(rho0, params)
-    cos, sin, _, _ = _branch_weights(params.tau, params.dim, params.coupling, params.atom)
+    cos, sin, _, _ = _checked_weights(rho0, params)
     weights = cos**2 if params.atom == ATOM_EXCITED else sin**2
     return float(np.sum(weights * np.real(np.diag(rho0.elements))))
 
@@ -245,8 +248,7 @@ def joint_state_blocks(rho0: DensityMatrix, params: EvolutionParams) -> JointBlo
     and the flip block to the other one; the coherence between them is the
     flip branch times the stay branch, -i sin_m cos_n.
     """
-    _check_inputs(rho0, params)
-    cos, sin, src, dst = _branch_weights(params.tau, params.dim, params.coupling, params.atom)
+    cos, sin, src, dst = _checked_weights(rho0, params)
     el = rho0.elements
     stay = np.outer(cos, cos) * el
     flip = np.zeros_like(el)
@@ -355,10 +357,8 @@ def sweep_branches(components, taus, coupling: str = INTENSITY_DEPENDENT,
     weights, vecs, taus, blocks = _checked_sweep(components, taus, coupling)
     dim = vecs.shape[1]
     goals = np.array(targets, dtype=complex)
-    if goals.size and goals.shape[1:] != (dim,):
-        raise DimMismatch(f"targets of shape {goals.shape} are not rows of ensemble dim {dim}"
-                          if goals.ndim == 1 else
-                          f"target rows of shape {goals.shape[1:]} != ensemble dim {dim}")
+    if goals.size and (goals.ndim != 2 or goals.shape[1] != dim):
+        raise DimMismatch(f"targets of shape {goals.shape} are not rows of ensemble dim {dim}")
     goals = goals.reshape(-1, dim)
     for row in goals:
         StateVector(row)

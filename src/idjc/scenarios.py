@@ -129,14 +129,13 @@ def validate_config(config: ScenarioConfig) -> list[str]:
 
     The config is first read as a config file is, by config_from_mapping, whose
     errors are the verdict if it fails.  Every float must be finite: an
-    infinite tau_max or a NaN tau would otherwise run and write NaN rows.  So
-    must the largest pair phase of ordinary-contrast's ordinary sweep,
-    tau_max * sqrt(dim); every intensity-dependent tau is reduced mod 2 pi
-    before it forms a phase, so no other tau overflows one.  Every count must
-    fit its array: tau_steps, nx and ny at most _MAX_LENGTH, and the level
-    count of alpha or of an explicit dim at most _MAX_LEVELS.  A scenario key
-    that the scenario does not read must keep its default, so that no value given,
-    such as a parity for the mixture, is dropped unread.  An empty list means OK.
+    infinite tau_max or a NaN tau would otherwise run and write NaN rows.  An
+    ordinary sweep's tau_max must pass dynamics.EvolutionParams, the engine's
+    rule on its phases.  Every count must fit its array: tau_steps, nx and ny
+    at most _MAX_LENGTH, and the level count of alpha or of an explicit dim at
+    most _MAX_LEVELS.  A scenario key that the scenario does not read must keep
+    its default, so that no value given, such as a parity for the mixture, is
+    dropped unread.  An empty list means OK.
     """
     return _read_and_check(config)[1]
 
@@ -161,7 +160,7 @@ def _read_and_check(config: ScenarioConfig) -> tuple[ScenarioConfig, list[str]]:
         errors.append(f"parity_r: must be -1, 0 or +1, got {config.parity_r!r}")
     if not (_finite(config.lam) and config.lam > 0.0):
         errors.append(f"lam: coupling constant must be finite and positive, got {config.lam!r}")
-    if not (_finite(config.tau_max) and config.tau_max > 0.0):
+    if not (tau_ok := _finite(config.tau_max) and config.tau_max > 0.0):
         errors.append(f"tau_max: must be finite and positive, got {config.tau_max!r}")
     if not (config.tau_steps is not None and config.tau_steps >= 2):
         errors.append(f"tau_steps: must be an integer >= 2, got {config.tau_steps!r}")
@@ -200,10 +199,11 @@ def _read_and_check(config: ScenarioConfig) -> tuple[ScenarioConfig, list[str]]:
         too_many = [f"{name}: sizes {count} Fock levels, more than an int64 holds ({_MAX_LEVELS})"
                     for name, count in counts if count > _MAX_LEVELS]
         errors += too_many
-        # only the ordinary coupling forms a phase from an unreduced tau, tau * sqrt(n + 1)
-        if (not too_many and spec and spec.ordinary and _finite(config.tau_max)
-                and not math.isfinite(config.tau_max * math.sqrt(dim := resolve_dim(config)))):
-            errors.append(f"tau_max: the ordinary pair phase tau * sqrt({dim}) overflows")
+        if not too_many and spec and spec.ordinary and tau_ok:
+            try:
+                dynamics.EvolutionParams(config.tau_max, resolve_dim(config), dynamics.ORDINARY)
+            except ValueError as exc:
+                errors.append(f"tau_max: {exc}")
     for name, value in zip(GRID_FIELDS, grid[:4]):
         if value is not None and not _finite(value):
             errors.append(f"{name}: must be finite, got {value!r}")

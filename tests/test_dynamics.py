@@ -142,6 +142,26 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             idjc.EvolutionParams(tau=tau, dim=10)
 
+    @pytest.mark.parametrize("atom", [idjc.ATOM_EXCITED, idjc.ATOM_GROUND])
+    def test_rejects_an_overflowing_ordinary_phase(self, atom):
+        """tau * sqrt(dim) bounds the ordinary pair phases of either atom."""
+        with pytest.raises(ValueError,
+                           match=r"^the ordinary pair phase tau \* sqrt\(29\) overflows$"):
+            idjc.EvolutionParams(tau=1e308, dim=29, coupling=idjc.ORDINARY, atom=atom)
+
+    @pytest.mark.parametrize("coupling, tau", [(idjc.ORDINARY, 3e307),
+                                               (idjc.INTENSITY_DEPENDENT, 1e308)])
+    @pytest.mark.parametrize("atom", [idjc.ATOM_EXCITED, idjc.ATOM_GROUND])
+    def test_every_accepted_tau_gives_finite_output(self, coupling, tau, atom):
+        """An ordinary phase just below overflow and an intensity-dependent tau, on every path."""
+        p = idjc.EvolutionParams(tau=tau, dim=29, coupling=coupling, atom=atom)
+        rho = idjc.pure_density(idjc.make_coherent(1.0, 29))
+        joint = idjc.joint_state_blocks(rho, p)
+        values = [idjc.kraus_diag(p), idjc.kraus_shift(p), idjc.evolve_field(rho, p).elements,
+                  idjc.excited_population(rho, p), idjc.atomic_inversion(rho, p),
+                  joint.ee, joint.eg, joint.ge, joint.gg]
+        assert all(np.all(np.isfinite(v)) for v in values)
+
 
 class TestExcitedPopulation:
     def test_one_at_zero(self, mixture5):

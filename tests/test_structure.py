@@ -138,6 +138,27 @@ def test_one_function_walks_the_tau_blocks():
     assert not calls(TREES["husimi"], "_branch_weights")
 
 
+def test_engine_inputs_are_checked_in_one_prologue_per_path():
+    """dynamics owns the rules on its inputs, and scenarios forms no pair frequency.
+
+    EvolutionParams refuses an overflowing ordinary phase; each engine path
+    checks a state and takes the weights of its params in one prologue,
+    _checked_weights per call or _checked_sweep for both sweeps, and only the
+    Kraus branches, which take no state, take those weights directly.
+    """
+    assert not calls(TREES["scenarios"], "sqrt")
+
+    def callers(name, takes=lambda call: True):
+        return {(stem, node.name) for stem, tree in TREES.items() for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and any(map(takes, calls(node, name)))}
+
+    assert callers("_check_tail") == {("dynamics", "_checked_weights"),
+                                      ("dynamics", "_checked_sweep")}
+    on_params = callers("_branch_weights", lambda call: ast.unparse(call.args[0]) == "params.tau")
+    assert on_params == {("dynamics", name)
+                         for name in ("_checked_weights", "kraus_diag", "kraus_shift")}
+
+
 def test_branch_overlaps_have_one_kernel():
     """dynamics._branch_fidelities gives every target fidelity, Q value and Q guard population.
 

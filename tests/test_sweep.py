@@ -113,9 +113,23 @@ def test_tau_blocks_cover_each_tau_once(n_taus):
 
 
 def test_one_dimensional_targets_are_named_by_their_shape():
+    """Targets that are no 2-d array of rows of length dim are named by their whole shape."""
     psi = idjc.make_coherent(1.0, 29)
     with pytest.raises(DimMismatch, match=r"targets of shape \(29,\) are not rows"):
         idjc.sweep_branches([(1.0, psi)], [0.1], targets=psi.amplitudes)
+    for targets, shape in [(1.0, r"\(\)"), ([[1.0]], r"\(1, 1\)"),
+                           (np.ones((1, 1, 29)), r"\(1, 1, 29\)")]:
+        with pytest.raises(DimMismatch,
+                           match=rf"^targets of shape {shape} are not rows of ensemble dim 29$"):
+            idjc.sweep_branches([(1.0, psi)], [0.1], targets=targets)
+
+
+def test_intensity_dependent_sweeps_run_at_the_largest_tau():
+    components = [(0.5, idjc.make_coherent(1.0, 29)), (0.5, idjc.make_coherent(-1.0, 29))]
+    sweep = idjc.sweep_branches(components, [1e308], targets=[components[0][1].amplitudes])
+    (grid,) = idjc.q_sweep(components, [1e308], -2.0, 2.0, -2.0, 2.0, nx=5, ny=5)
+    assert all(np.all(np.isfinite(v)) for v in (sweep.purity_defect, sweep.excited_population,
+                                                sweep.fidelities, grid.values))
 
 
 def test_grid_spanning_several_tau_blocks():
@@ -251,6 +265,11 @@ class TestInputChecks:
     def test_rejects_bad_taus(self, components, taus):
         with pytest.raises(ValueError):
             idjc.sweep_branches(components, taus)
+
+    def test_rejects_an_overflowing_ordinary_phase(self, components):
+        """The largest tau's phase tau * sqrt(dim) must be finite, not swept into NaN."""
+        with pytest.raises(ValueError, match=r"ordinary pair phase tau \* sqrt\(10\) overflows"):
+            idjc.sweep_branches(components, [0.0, 1e308], coupling=idjc.ORDINARY)
 
     def test_rejects_unknown_coupling(self, components):
         with pytest.raises(ValueError):
