@@ -202,8 +202,7 @@ def evolved_cat_branches(spec: CatSpec, tau: float, dim: int):
     return stay, flip
 
 
-def q_mixture_closed(alpha: float, tau: float, beta,
-                     n_terms: int | None = None) -> float | np.ndarray:
+def q_mixture_closed(alpha: float, tau: float, beta) -> float | np.ndarray:
     """Q of the evolved equal mixture of |a> and |-a>, by direct series.
 
     beta is one phase-space point, which gives a float, or an array of them,
@@ -212,15 +211,14 @@ def q_mixture_closed(alpha: float, tau: float, beta,
     -i sin(tau(n+1)) <n|+-a> on level n+1, of each mixture component; the
     four squared magnitudes carry the whole value (a proper mixture has no
     cross terms between its components).  The overlap <beta|n><n|+-a> is
-    Poisson-like with mean peak = max |beta| * |a|, so the series is sized by
-    default as a coherent state of amplitude sqrt(peak), plus margin.
+    Poisson-like with mean peak = max |beta| * |a|, so the series always has
+    default_dim(sqrt(peak)) + 8 terms, whose tail _check_series bounds.
     """
     alpha = float(alpha)
     tau = _reduced(tau)
     beta = np.asarray(beta, dtype=complex)
     root = math.sqrt(float(np.max(np.abs(beta), initial=0.0)) * abs(alpha))
-    if n_terms is None:
-        n_terms = default_dim(root) + 8
+    n_terms = default_dim(root) + 8
     _check_series("Poisson", poisson_weights(root, n_terms), root)
     n = np.arange(n_terms)
     plus = _coherent_series(alpha, n_terms)

@@ -53,6 +53,7 @@ per call and _checked_sweep for the sweeps, under the rules of EvolutionParams.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,8 @@ class EvolutionParams:
     The dynamics depends on the coupling constant only through tau.  atom
     selects the initial atomic state; the ground-state case is the mirror
     map with the roles of the two branches swapped (pair frequencies n
-    instead of n+1).  An ordinary tau needs a finite tau * sqrt(dim), the bound on its phases.
+    instead of n+1).  dim is an integer that an int64 holds, numpy's included.
+    An ordinary tau needs a finite tau * sqrt(dim), the bound on its phases.
     """
 
     tau: float
@@ -99,6 +101,8 @@ class EvolutionParams:
             raise ValueError(f"tau must be finite and >= 0, got {self.tau!r}")
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim!r}")
+        if not (isinstance(self.dim, numbers.Integral) and self.dim < 2**63):
+            raise ValueError(f"dim must be an integer an int64 holds, got {self.dim!r}")
         if self.coupling not in (INTENSITY_DEPENDENT, ORDINARY):
             raise ValueError(f"unknown coupling mode {self.coupling!r}")
         if self.atom not in (ATOM_EXCITED, ATOM_GROUND):

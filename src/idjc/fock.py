@@ -25,7 +25,7 @@ from .errors import (
     WeightMismatch,
 )
 
-#: Default bound on the photon-number probability a truncation may discard.
+#: Bound on the photon-number probability a truncation may discard; no call overrides it.
 DEFAULT_TAIL_TOL = 1e-12
 
 _NORM_ATOL = 1e-12
@@ -197,40 +197,40 @@ def _coherent_amplitudes(betas, dim: int) -> np.ndarray:
     return mag * np.exp(1j * np.angle(betas)[:, None] * n[None, :])
 
 
-def _check_truncation(alpha: complex, dim: int, tail_tol: float) -> None:
+def _check_truncation(alpha: complex, dim: int) -> None:
     if dim < 1:
         raise InvalidDim(f"dim must be >= 1, got {dim}")
     tail = poisson_tail(abs(alpha) ** 2, dim)
-    if not tail < tail_tol:
+    if not tail < DEFAULT_TAIL_TOL:
         raise TruncationTooSmall(
             f"photon-number tail beyond dim={dim} is {tail:.3e} for "
-            f"|alpha|^2 = {abs(alpha) ** 2:g} (tolerance {tail_tol:.1e})"
+            f"|alpha|^2 = {abs(alpha) ** 2:g} (tolerance {DEFAULT_TAIL_TOL:.1e})"
         )
 
 
-def make_coherent(alpha, dim: int | None = None,
-                  tail_tol: float = DEFAULT_TAIL_TOL) -> StateVector:
+def make_coherent(alpha, dim: int | None = None) -> StateVector:
     """Coherent state truncated to dim levels and renormalized.
 
     dim=None applies :func:`default_dim`.  Raises TruncationTooSmall when the
-    discarded Poisson tail would exceed tail_tol; renormalization then keeps
-    truncation errors confined to that declared budget.  This is
-    :func:`make_cat` with parity_r = 0, whose parity factor is exactly 1.
+    discarded Poisson tail would exceed DEFAULT_TAIL_TOL (no call overrides
+    it; raise dim); renormalization then keeps truncation errors confined to
+    that budget.  This is :func:`make_cat` with parity_r = 0, whose parity
+    factor is exactly 1.
     """
-    return make_cat(CatSpec(alpha, 0), dim, tail_tol)
+    return make_cat(CatSpec(alpha, 0), dim)
 
 
-def make_cat(spec: CatSpec, dim: int | None = None,
-             tail_tol: float = DEFAULT_TAIL_TOL) -> StateVector:
+def make_cat(spec: CatSpec, dim: int | None = None) -> StateVector:
     """Normalized |alpha> + r |-alpha> on a truncated basis.
 
     The two coherent branches are combined through the factor 1 + r(-1)^n,
     which vanishes identically on the opposite parity sector, so for
     r = +1 (-1) the odd (even) amplitudes are exact zeros, not merely small.
+    The Poisson tail of |alpha| is held to DEFAULT_TAIL_TOL, as in :func:`make_coherent`.
     """
     if dim is None:
         dim = default_dim(spec.alpha)
-    _check_truncation(spec.alpha, dim, tail_tol)
+    _check_truncation(spec.alpha, dim)
     base = _coherent_amplitudes(spec.alpha, dim)[0]
     parity_factor = 1.0 + spec.parity_r * (-1.0) ** np.arange(dim)
     return StateVector.normalized(base * parity_factor)

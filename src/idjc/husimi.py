@@ -5,9 +5,10 @@ complex plane, bounded pointwise by 1/pi.  Coherent overlaps are evaluated
 in log space with the phase tracked separately, so |beta| ~ 10 against
 photon numbers in the hundreds stays well inside double range.
 
-q_grid takes any density matrix.  q_sweep takes an evolving pure-state
-ensemble and a tau grid: Q at beta is the fidelity of the evolved
-ensemble with the coherent state |beta>, over pi.  :mod:`idjc.dynamics`
+Every evaluation first runs the truncation guard at DEFAULT_GUARD_TOL,
+which no call overrides.  q_grid takes any density matrix.  q_sweep takes
+an evolving pure-state ensemble and a tau grid: Q at beta is the fidelity
+of the evolved ensemble with the coherent state |beta>, over pi.  :mod:`idjc.dynamics`
 owns that sum (_branch_fidelities, one matrix product per grid row and tau
 block), the input check, the block walk and the block size (_checked_sweep).
 This module is the engine side only: the independent Q series of the
@@ -29,14 +30,14 @@ from .dynamics import _branch_block, _branch_fidelities, _checked_sweep
 from .errors import TruncationTooSmall
 from .fock import DensityMatrix, _coherent_amplitudes, photon_distribution, poisson_tail
 
-#: Bound on the estimated absolute Q error from basis truncation.  The
-#: estimate is a worst-case Cauchy-Schwarz product of tail masses; states
-#: built with the default truncation rule score ~2e-9 at |beta| ~ 11 even
-#: though their actual error is below 1e-30, so the default leaves margin.
+#: Bound on the estimated absolute Q error from basis truncation; no call
+#: overrides it.  The estimate is a worst-case Cauchy-Schwarz product of tail
+#: masses; states built with the default truncation rule score ~2e-9 at
+#: |beta| ~ 11 even though their actual error is below 1e-30, so it leaves margin.
 DEFAULT_GUARD_TOL = 1e-6
 
 
-def _truncation_guard(top: float, dim: int, beta_sq_max: float, guard_tol: float) -> None:
+def _truncation_guard(top: float, dim: int, beta_sq_max: float) -> None:
     """Reject evaluations whose value could be visibly wrong for a truncated state.
 
     The computed Q is exact for the state as stored; it can only
@@ -47,17 +48,17 @@ def _truncation_guard(top: float, dim: int, beta_sq_max: float, guard_tol: float
     """
     probe_tail = poisson_tail(beta_sq_max, dim)
     estimate = math.sqrt(probe_tail * max(top, 0.0)) / math.pi
-    if not estimate < guard_tol:
+    if not estimate < DEFAULT_GUARD_TOL:
         raise TruncationTooSmall(
-            f"estimated Q truncation error {estimate:.2e} exceeds {guard_tol:.1e} "
+            f"estimated Q truncation error {estimate:.2e} exceeds {DEFAULT_GUARD_TOL:.1e} "
             f"(|beta|^2 = {beta_sq_max:g}, dim = {dim}); increase dim"
         )
 
 
-def q_at(rho: DensityMatrix, beta, guard_tol: float = DEFAULT_GUARD_TOL) -> float:
-    """Q at a single phase-space point beta = x + i y."""
+def q_at(rho: DensityMatrix, beta) -> float:
+    """Q at a single phase-space point beta = x + i y, under the truncation guard."""
     beta = complex(beta)
-    _truncation_guard(photon_distribution(rho)[-2:].sum(), rho.dim, abs(beta) ** 2, guard_tol)
+    _truncation_guard(photon_distribution(rho)[-2:].sum(), rho.dim, abs(beta) ** 2)
     u = _coherent_amplitudes(beta, rho.dim)[0]
     return float(np.vdot(u, rho.elements @ u).real) / math.pi
 
@@ -100,9 +101,9 @@ class QGrid:
         return float(self.values.sum()) * self.cell_area
 
 
-def _grid_axes(x_min: float, x_max: float, y_min: float, y_max: float,
-               nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Sample points of a valid grid and the largest |beta|^2 on it."""
+def _grid_corner_sq(x_min: float, x_max: float, y_min: float, y_max: float,
+                    nx: int, ny: int) -> float:
+    """The largest |beta|^2 on a valid grid; checks the counts and bounds and builds no axis."""
     if nx < 2 or ny < 2:
         raise ValueError(f"nx and ny must be >= 2, got {nx} x {ny}")
     if not (x_max > x_min and y_max > y_min):
@@ -113,15 +114,15 @@ def _grid_axes(x_min: float, x_max: float, y_min: float, y_max: float,
     if not math.isfinite(corner_sq):
         raise ValueError(f"corner |beta|^2 is not finite for bounds "
                          f"x in [{x_min!r}, {x_max!r}], y in [{y_min!r}, {y_max!r}]")
-    return np.linspace(x_min, x_max, nx), np.linspace(y_min, y_max, ny), corner_sq
+    return corner_sq
 
 
 def q_grid(rho: DensityMatrix, x_min: float, x_max: float, y_min: float, y_max: float,
-           nx: int = 161, ny: int = 161, guard_tol: float = DEFAULT_GUARD_TOL,
-           jobs: int = 1) -> QGrid:
-    """Q of any density matrix on a rectangular grid; jobs is accepted and has no effect."""
-    xs, ys, corner_sq = _grid_axes(x_min, x_max, y_min, y_max, nx, ny)
-    _truncation_guard(photon_distribution(rho)[-2:].sum(), rho.dim, corner_sq, guard_tol)
+           nx: int = 161, ny: int = 161, jobs: int = 1) -> QGrid:
+    """Q of any density matrix on a rectangular grid, guarded at its corner; jobs has no effect."""
+    corner_sq = _grid_corner_sq(x_min, x_max, y_min, y_max, nx, ny)
+    _truncation_guard(photon_distribution(rho)[-2:].sum(), rho.dim, corner_sq)
+    xs, ys = np.linspace(x_min, x_max, nx), np.linspace(y_min, y_max, ny)
     el = rho.elements
     values = np.empty((nx, ny))
     for i, x in enumerate(xs):
@@ -132,7 +133,7 @@ def q_grid(rho: DensityMatrix, x_min: float, x_max: float, y_min: float, y_max: 
 
 
 def q_sweep(components, taus, x_min: float, x_max: float, y_min: float, y_max: float,
-            nx: int = 161, ny: int = 161, guard_tol: float = DEFAULT_GUARD_TOL) -> list[QGrid]:
+            nx: int = 161, ny: int = 161) -> list[QGrid]:
     """Q of an evolved pure-state ensemble on a rectangular grid, one QGrid per tau.
 
     components and taus are checked as for :func:`idjc.dynamics.sweep_branches`.
@@ -146,14 +147,15 @@ def q_sweep(components, taus, x_min: float, x_max: float, y_min: float, y_max: f
     same sum with the rows |dim-2> and |dim-1>.  Memory: block x 2m x dim
     complex numbers for m components, plus ny x dim for the row.
     """
-    xs, ys, corner_sq = _grid_axes(x_min, x_max, y_min, y_max, nx, ny)
+    corner_sq = _grid_corner_sq(x_min, x_max, y_min, y_max, nx, ny)
     weights, vecs, taus, blocks = _checked_sweep(components, taus)
+    xs, ys = np.linspace(x_min, x_max, nx), np.linspace(y_min, y_max, ny)
     dim = vecs.shape[1]
     values = np.empty((taus.size, nx, ny))
     for block, *trig in blocks:
         branches = _branch_block(vecs, *trig)
         top = _branch_fidelities(branches, weights, np.eye(2, dim, dim - 2)).sum(axis=0)
-        _truncation_guard(float(top.max()), dim, corner_sq, guard_tol)
+        _truncation_guard(float(top.max()), dim, corner_sq)
         for i, x in enumerate(xs):
             rows = _coherent_amplitudes(x + 1j * ys, dim)
             values[block, i, :] = _branch_fidelities(branches, weights, rows).T / math.pi

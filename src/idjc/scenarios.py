@@ -189,7 +189,7 @@ def _read_and_check(config: ScenarioConfig) -> tuple[ScenarioConfig, list[str]]:
                            f"missing {missing}")
     elif spec and "nx" in spec.reads and not too_long:
         try:
-            husimi._grid_axes(*grid)
+            husimi._grid_corner_sq(*grid)
         except ValueError as exc:
             grid_errors.append(f"grid: {exc}")
     if alpha_ok and dim_ok:

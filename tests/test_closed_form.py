@@ -306,8 +306,9 @@ def test_q_mixture_closed_array_equals_scalar_calls(alpha, tau, others, zero_at)
     together = idjc.q_mixture_closed(alpha, tau, betas)
     assert together.shape == betas.shape
     assert np.max(np.abs(together - scalars)) <= 1e-13
-    with pytest.raises(TruncationTooSmall):
-        idjc.q_mixture_closed(alpha, tau, np.append(betas, 9.0), n_terms=10)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(TruncationTooSmall):
+        mp.setattr(idjc.closed_form, "default_dim", lambda alpha: 2)  # 2 + 8 = 10 terms
+        idjc.q_mixture_closed(alpha, tau, np.append(betas, 9.0))
 
 
 #: Engine functions the oracles must never reach, whichever module holds the name.

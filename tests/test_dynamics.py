@@ -137,6 +137,24 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             idjc.EvolutionParams(tau=0.1, dim=10, atom="superposed")
 
+    @pytest.mark.parametrize("dim", [2.5, 10.0, np.float64(10.0)], ids=["half", "float", "numpy"])
+    def test_rejects_a_non_integer_dim(self, dim):
+        with pytest.raises(ValueError, match=r"^dim must be an integer an int64 holds, got "):
+            idjc.EvolutionParams(tau=1.0, dim=dim)
+
+    @pytest.mark.parametrize("dim", [np.int64(10), np.int32(10), 2**63 - 1],
+                             ids=["int64", "int32", "int64_max"])
+    def test_accepts_every_integer_dim(self, dim):
+        for coupling in (idjc.INTENSITY_DEPENDENT, idjc.ORDINARY):
+            assert idjc.EvolutionParams(tau=1.0, dim=dim, coupling=coupling).dim == dim
+
+    @pytest.mark.parametrize("dim", [2**63, 10**400], ids=["int64_max_plus_1", "1e400"])
+    @pytest.mark.parametrize("coupling", [idjc.INTENSITY_DEPENDENT, idjc.ORDINARY])
+    def test_refuses_a_dim_past_int64(self, dim, coupling):
+        """No array holds more levels; at 1e400 the ordinary sqrt(dim) would overflow a float."""
+        with pytest.raises(ValueError, match=r"^dim must be an integer an int64 holds, got "):
+            idjc.EvolutionParams(tau=1.0, dim=dim, coupling=coupling)
+
     @pytest.mark.parametrize("tau", [math.nan, math.inf])
     def test_rejects_non_finite_tau(self, tau):
         with pytest.raises(ValueError):

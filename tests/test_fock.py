@@ -60,11 +60,12 @@ class TestMakeCoherent:
         psi = idjc.make_coherent(3.0 + 1.0j)
         assert abs(np.vdot(psi.amplitudes, psi.amplitudes).real - 1.0) < 1e-12
 
-    def test_tail_check_rejects_tight_dim(self):
+    def test_tail_check_rejects_tight_dim(self, monkeypatch):
         # Poisson(25) mass at or above 60 is ~2e-9, above the default budget
         with pytest.raises(TruncationTooSmall):
             idjc.make_coherent(5.0, 60)
-        psi = idjc.make_coherent(5.0, 60, tail_tol=1e-8)
+        monkeypatch.setattr(idjc.fock, "DEFAULT_TAIL_TOL", 1e-8)
+        psi = idjc.make_coherent(5.0, 60)
         assert psi.dim == 60
 
     def test_invalid_dim(self):
@@ -91,9 +92,10 @@ class TestMakeCat:
         psi = idjc.make_cat(idjc.CatSpec(alpha=1e-160, parity_r=-1), 4)
         assert np.array_equal(psi.amplitudes, [0.0, 1.0, 0.0, 0.0])
 
-    def test_r_zero_reduces_to_coherent(self):
-        cat = idjc.make_cat(idjc.CatSpec(alpha=ALPHA, parity_r=0), 60, tail_tol=1e-8)
-        coh = idjc.make_coherent(ALPHA, 60, tail_tol=1e-8)
+    def test_r_zero_reduces_to_coherent(self, monkeypatch):
+        monkeypatch.setattr(idjc.fock, "DEFAULT_TAIL_TOL", 1e-8)
+        cat = idjc.make_cat(idjc.CatSpec(alpha=ALPHA, parity_r=0), 60)
+        coh = idjc.make_coherent(ALPHA, 60)
         assert np.array_equal(cat.amplitudes, coh.amplitudes)
 
     def test_invalid_cat(self):

@@ -122,6 +122,7 @@ class TestQMixtureClosed:
             engine = idjc.q_at(idjc.evolve_field(mixture5, params(tau)), beta)
             assert abs(closed - engine) < 1e-9
 
-    def test_truncation_error(self):
+    def test_truncation_error(self, monkeypatch):
+        monkeypatch.setattr(idjc.closed_form, "default_dim", lambda alpha: 2)  # 2 + 8 = 10 terms
         with pytest.raises(TruncationTooSmall):
-            idjc.q_mixture_closed(5.0, 1.0, 5.0 + 0.0j, n_terms=10)
+            idjc.q_mixture_closed(5.0, 1.0, 5.0 + 0.0j)

@@ -75,6 +75,18 @@ class TestValidateConfig:
     def test_explicit_dim(self, tmp_path):
         assert resolve_dim(base_config(tmp_path, "purity-mixture", dim=90)) == 90
 
+    def test_grid_check_allocates_no_axis(self, tmp_path):
+        """The gate checks a 10**6 x 2 grid without building it: its x axis alone is 8 MB."""
+        cfg = base_config(tmp_path, "qfunc-mixture", **{**QFUNC_KEYS, "nx": 10**6, "ny": 2})
+        assert validate_config(cfg) == []  # imports and caches warm
+        tracemalloc.start()
+        try:
+            assert validate_config(cfg) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestConfigFromMapping:
     def test_unknown_key_rejected(self):

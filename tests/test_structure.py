@@ -46,7 +46,7 @@ def private_names_taken(tree: ast.AST) -> set[str]:
 
     A name imported from inside idjc resolves to its module path, so
     DensityMatrix._owned after "from .fock import DensityMatrix" reads
-    fock.DensityMatrix._owned, and husimi._grid_axes after "from . import
+    fock.DensityMatrix._owned, and husimi._grid_corner_sq after "from . import
     husimi" reads as written.
     """
     local = {}
@@ -72,7 +72,7 @@ PRIVATE_NAMES_TAKEN = {
     "dynamics": {"fock.DensityMatrix._owned"},
     "husimi": {"dynamics._branch_block", "dynamics._branch_fidelities", "dynamics._checked_sweep",
                "fock._coherent_amplitudes"},
-    "scenarios": {"husimi._grid_axes"},
+    "scenarios": {"husimi._grid_corner_sq"},
 }
 
 
@@ -94,10 +94,24 @@ def test_invalid_cat_is_raised_only_by_catspec():
     assert raisers == {"fock"}
 
 
-def test_series_tail_tol_is_compared_once():
+@pytest.mark.parametrize("constant", ["SERIES_TAIL_TOL", "DEFAULT_TAIL_TOL", "DEFAULT_GUARD_TOL",
+                                      "DEFAULT_TAIL_LEAK_TOL"])
+def test_each_truncation_tolerance_is_compared_once(constant):
     compares = [(stem, node.lineno) for stem, tree in TREES.items() for node in ast.walk(tree)
-                if isinstance(node, ast.Compare) and mentions(node, "SERIES_TAIL_TOL")]
+                if isinstance(node, ast.Compare) and mentions(node, constant)]
     assert len(compares) == 1, compares
+
+
+def test_no_call_overrides_a_truncation_rule():
+    """No tolerance keyword, and q_mixture_closed sizes its series itself."""
+    def params(node):
+        return [arg.arg for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+
+    overrides = [(stem, node.name) for stem, tree in TREES.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and {"tail_tol", "guard_tol"} & set(params(node))]
+    assert overrides == []
+    assert "n_terms" not in params(function(TREES["closed_form"], "q_mixture_closed"))
 
 
 def test_sweep_tau_block_is_referenced_only_in_dynamics():
@@ -215,7 +229,7 @@ def test_type_rules_live_only_in_config_from_mapping():
 
 def test_scenarios_runs_the_grid_rule_once():
     calls = [node.lineno for node in ast.walk(TREES["scenarios"])
-             if isinstance(node, ast.Call) and mentions(node.func, "_grid_axes")]
+             if isinstance(node, ast.Call) and mentions(node.func, "_grid_corner_sq")]
     assert len(calls) == 1, calls
     assert not any(mentions(tree, "_q_series_levels") for tree in TREES.values())
 

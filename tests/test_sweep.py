@@ -156,14 +156,16 @@ def test_q_sweep_matches_dense_q_grid(seed, n_parts, dim, n_taus, half_width, sh
     components = random_ensemble(rng, n_parts, dim, support=dim - 2, top_pop=top_pop)
     taus = rng.uniform(0.0, 3.0 * math.pi, size=n_taus)
     window = (-half_width, 0.8 * half_width, -0.6 * half_width, half_width, *shape)
-    grids = idjc.q_sweep(components, taus, *window, guard_tol=math.inf)
-    rho0 = idjc.mix([(w, idjc.pure_density(psi)) for w, psi in components])
-    assert len(grids) == n_taus
-    for tau, grid in zip(taus, grids):
-        rho = idjc.evolve_field(rho0, idjc.EvolutionParams(tau=float(tau), dim=dim))
-        want = idjc.q_grid(rho, *window, guard_tol=math.inf)
-        assert (grid.xs == want.xs).all() and (grid.ys == want.ys).all()
-        assert np.max(np.abs(grid.values - want.values)) < 1e-12
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(idjc.husimi, "DEFAULT_GUARD_TOL", math.inf)
+        grids = idjc.q_sweep(components, taus, *window)
+        rho0 = idjc.mix([(w, idjc.pure_density(psi)) for w, psi in components])
+        assert len(grids) == n_taus
+        for tau, grid in zip(taus, grids):
+            rho = idjc.evolve_field(rho0, idjc.EvolutionParams(tau=float(tau), dim=dim))
+            want = idjc.q_grid(rho, *window)
+            assert (grid.xs == want.xs).all() and (grid.ys == want.ys).all()
+            assert np.max(np.abs(grid.values - want.values)) < 1e-12
 
 
 @pytest.mark.parametrize("tau", [0.0, math.pi / 8, 0.3])
@@ -196,17 +198,18 @@ def test_q_sweep_rejects_bad_grid():
         idjc.q_sweep(components, [0.1], 1.0, -1.0, -1.0, 1.0, 10, 10)
 
 
-def test_q_sweep_spanning_several_tau_blocks():
+def test_q_sweep_spanning_several_tau_blocks(monkeypatch):
+    monkeypatch.setattr(idjc.husimi, "DEFAULT_GUARD_TOL", math.inf)
     rng = np.random.default_rng(11)
     components = random_ensemble(rng, 3, 12, support=10, top_pop=2e-11)
     taus = np.linspace(0.0, 2.5 * math.pi, 2 * idjc.dynamics.SWEEP_TAU_BLOCK + 3)
     window = (-3.0, 2.0, -2.5, 3.0, 4, 3)
-    grids = idjc.q_sweep(components, taus, *window, guard_tol=math.inf)
+    grids = idjc.q_sweep(components, taus, *window)
     rho0 = idjc.mix([(w, idjc.pure_density(psi)) for w, psi in components])
     assert len(grids) == taus.size
     for tau, grid in zip(taus, grids):
         rho = idjc.evolve_field(rho0, idjc.EvolutionParams(tau=float(tau), dim=12))
-        want = idjc.q_grid(rho, *window, guard_tol=math.inf)
+        want = idjc.q_grid(rho, *window)
         assert np.max(np.abs(grid.values - want.values)) < 1e-12
 
 
@@ -219,7 +222,7 @@ def test_q_sweep_of_no_taus():
     ("nan_tau", ValueError), ("negative_tau", ValueError), ("two_dim_taus", ValueError),
     ("tail", TailLeak), ("component_dim", DimMismatch), ("weights", WeightMismatch),
 ])
-def test_q_sweep_raises_where_sweep_raises(fault, expected):
+def test_q_sweep_raises_where_sweep_raises(fault, expected, monkeypatch):
     """q_sweep runs the sweep's own input checks, so each bad input raises the same type."""
     rng = np.random.default_rng(5)
     components = random_ensemble(rng, 2, 10, support=8)
@@ -233,8 +236,9 @@ def test_q_sweep_raises_where_sweep_raises(fault, expected):
         components = [(0.7, psi) for _, psi in components]
     with pytest.raises(expected) as swept:
         idjc.sweep_branches(components, taus)
+    monkeypatch.setattr(idjc.husimi, "DEFAULT_GUARD_TOL", math.inf)
     with pytest.raises(expected) as gridded:
-        idjc.q_sweep(components, taus, -2.0, 2.0, -2.0, 2.0, 3, 3, guard_tol=math.inf)
+        idjc.q_sweep(components, taus, -2.0, 2.0, -2.0, 2.0, 3, 3)
     assert gridded.type is swept.type
 
 
